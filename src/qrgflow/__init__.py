@@ -17,23 +17,10 @@ from .errors import (
     NotDensityMatrix,
     NotSymmetric,
     NotXStructured,
-    QrgError,
 )
-from .flow import (
-    ITERATION_CAP,
-    FlowStep,
-    RGTrajectory,
-    SweepTable,
-    advance,
-    effective_size,
-    iterate,
-    sweep,
-)
+from .flow import ITERATION_CAP, advance, effective_size, iterate, sweep
 from .measures import (
-    MEASURE_FUNCS,
     MEASURE_NAMES,
-    DiscordBreakdown,
-    MeasureSet,
     binary_mix_entropy,
     chsh_max,
     concurrence,
@@ -49,9 +36,7 @@ from .measures import (
     shannon_entropy,
 )
 from .models import (
-    XXZ_FIXED_POINTS,
-    XY_FIXED_POINTS,
-    BlockState8,
+    MODELS,
     XXZParams,
     XYParams,
     block_hamiltonian,
@@ -62,37 +47,22 @@ from .models import (
     ground_states,
     q_of_delta,
     reduced_state,
-    xxz_ground_states,
     xxz_rg_step,
     xxz_rho13,
-    xy_ground_states,
     xy_rg_step,
     xy_rho13,
 )
-from .oracle import (
-    EigenDecomposition,
-    MeasurementDirection,
-    brute_force_chsh,
-    brute_force_discord,
-    diag_symmetric,
-    partial_trace_mid,
-)
+from .oracle import brute_force_chsh, brute_force_discord, diag_symmetric, partial_trace_mid
 from .scaling import (
-    CRITICAL_POINT,
     DerivativeCurve,
-    ScalingFit,
-    ScalingReport,
-    ScalingRow,
     derivative_extremum,
     find_extremum,
     loglog_fit,
     numeric_derivative,
     scaling_report,
 )
-from .verify import CheckResult, run_all
+from .verify import run_all
 from .xstate import (
-    BlochX,
-    QubitMarginal,
     XState,
     from_bloch,
     marginal_a,
@@ -105,88 +75,3 @@ from .xstate import (
 )
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "QrgError",
-    "DomainError",
-    "ExtremumAtBoundary",
-    "InvalidDistribution",
-    "NonPositiveValue",
-    "NonUniformGrid",
-    "NotDensityMatrix",
-    "NotSymmetric",
-    "NotXStructured",
-    "XState",
-    "BlochX",
-    "QubitMarginal",
-    "xstate_from_matrix",
-    "xstate_to_matrix",
-    "to_bloch",
-    "from_bloch",
-    "spectrum",
-    "marginal_a",
-    "marginal_b",
-    "random_xstates",
-    "shannon_entropy",
-    "binary_mix_entropy",
-    "concurrence",
-    "mutual_information",
-    "discord_sigma_z",
-    "discord_sigma_xy",
-    "discord_optimal",
-    "DiscordBreakdown",
-    "mid",
-    "geometric_discord",
-    "min_nonlocality",
-    "chsh_max",
-    "MeasureSet",
-    "MEASURE_FUNCS",
-    "MEASURE_NAMES",
-    "measure_all",
-    "measure_set_values",
-    "XXZParams",
-    "XYParams",
-    "BlockState8",
-    "XXZ_FIXED_POINTS",
-    "XY_FIXED_POINTS",
-    "q_of_delta",
-    "xxz_rg_step",
-    "xy_rg_step",
-    "xxz_ground_states",
-    "xy_ground_states",
-    "xxz_rho13",
-    "xy_rho13",
-    "g_of_gamma",
-    "gamma_of_g",
-    "fixed_points",
-    "block_hamiltonian",
-    "ground_energy",
-    "ground_states",
-    "reduced_state",
-    "ITERATION_CAP",
-    "effective_size",
-    "advance",
-    "iterate",
-    "sweep",
-    "FlowStep",
-    "RGTrajectory",
-    "SweepTable",
-    "CRITICAL_POINT",
-    "DerivativeCurve",
-    "ScalingFit",
-    "ScalingRow",
-    "ScalingReport",
-    "numeric_derivative",
-    "find_extremum",
-    "loglog_fit",
-    "derivative_extremum",
-    "scaling_report",
-    "EigenDecomposition",
-    "MeasurementDirection",
-    "diag_symmetric",
-    "partial_trace_mid",
-    "brute_force_discord",
-    "brute_force_chsh",
-    "CheckResult",
-    "run_all",
-]

@@ -21,8 +21,8 @@ from .errors import (
     NotXStructured,
 )
 from .flow import effective_size, iterate, sweep
-from .measures import MEASURE_NAMES
-from .models import XXZParams, XYParams, fixed_points
+from .measures import MEASURE_NAMES, measure_set_values
+from .models import MODELS, fixed_points
 from .scaling import loglog_fit, scaling_report
 from .verify import run_all
 
@@ -41,10 +41,6 @@ _NUMERIC_ERRORS = (
     OverflowError,
     RuntimeError,
 )
-
-# MeasureSet attribute for each public measure name ("min" is a keyword-ish
-# CSV label; the dataclass field is min_nl).
-_FIELD_FOR_NAME = {name: ("min_nl" if name == "min" else name) for name in MEASURE_NAMES}
 
 
 def fmt(value: float) -> str:
@@ -98,7 +94,10 @@ def _write_text(path: Path, lines) -> None:
 
 def _out_dir(args) -> Path:
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise DomainError(f"cannot use --out {args.out!r} as a directory: {exc.strerror}") from exc
     return out
 
 
@@ -147,10 +146,8 @@ def _scaling_plot_lines(csvname: str, critical: float):
 
 def _cmd_sweep(args) -> int:
     model = args.model
-    axis = args.axis or ("delta" if model == "xxz" else "g")
-    lo, hi = args.range if args.range is not None else (
-        (0.0, 2.5) if model == "xxz" else (0.0, 3.0)
-    )
+    axis = args.axis or MODELS[model].axis
+    lo, hi = args.range if args.range is not None else MODELS[model].axis_range
     iterations = args.iterations if args.iterations is not None else list(range(7))
     measures = args.measures if args.measures is not None else list(MEASURE_NAMES)
     table = sweep(model, axis, lo, hi, args.points, iterations, measures=measures)
@@ -172,25 +169,21 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_flow(args) -> int:
-    model = args.model
-    if model == "xxz":
-        params, coupling_name = XXZParams(args.j, args.start), "delta"
-    else:
-        params, coupling_name = XYParams(args.j, args.start), "gamma"
+    model = MODELS[args.model]
     measures = args.measures if args.measures is not None else list(MEASURE_NAMES)
-    trajectory = iterate(params, args.steps)
+    trajectory = iterate(model.params(args.j, args.start), args.steps)
     out = _out_dir(args)
-    csv_path = out / f"flow_{model}.csv"
-    lines = [",".join(["n", "N", coupling_name, "J"] + measures)]
+    csv_path = out / f"flow_{model.name}.csv"
+    lines = [",".join(["n", "N", model.coupling, "J"] + measures)]
     for step in trajectory.steps:
-        coupling = step.params.delta if model == "xxz" else step.params.gamma
-        fields = [str(step.n), str(step.size), fmt(coupling), fmt(step.params.j)]
-        fields += [fmt(getattr(step.measures, _FIELD_FOR_NAME[m])) for m in measures]
+        values = dict(zip(MEASURE_NAMES, measure_set_values(step.measures)))
+        fields = [str(step.n), str(step.size), fmt(getattr(step.params, model.coupling))]
+        fields += [fmt(step.params.j)] + [fmt(values[m]) for m in measures]
         lines.append(",".join(fields))
     _write_text(csv_path, lines)
     print(f"wrote {csv_path}")
     if args.plot:
-        gp_path = out / f"flow_{model}.gp"
+        gp_path = out / f"flow_{model.name}.gp"
         _write_text(gp_path, _flow_plot_lines(csv_path.name, measures))
         print(f"wrote {gp_path}")
     return 0
@@ -231,7 +224,7 @@ def _cmd_scaling(args) -> int:
         critical=args.critical,
         refine_passes=args.refine_passes,
     )
-    axis = "delta" if args.model == "xxz" else "g"
+    axis = MODELS[args.model].axis
     out = _out_dir(args)
     stem = f"scaling_{args.model}_{args.measure}"
     csv_path = out / f"{stem}.csv"
@@ -282,11 +275,10 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_fixed_points(args) -> int:
-    models = ("xxz", "xy") if args.model == "all" else (args.model,)
+    models = MODELS.values() if args.model == "all" else (MODELS[args.model],)
     for model in models:
-        coupling = "delta" if model == "xxz" else "gamma"
-        for value, label in fixed_points(model):
-            print(f"{model} {coupling}={fmt(value)} {label}")
+        for value, label in fixed_points(model.name):
+            print(f"{model.name} {model.coupling}={fmt(value)} {label}")
     return 0
 
 
@@ -303,9 +295,9 @@ def build_parser() -> argparse.ArgumentParser:
     sweep_p = sub.add_parser(
         "sweep", help="tabulate measures over a coupling grid at several iteration depths"
     )
-    sweep_p.add_argument("--model", choices=("xxz", "xy"), required=True)
+    sweep_p.add_argument("--model", choices=tuple(MODELS), required=True)
     sweep_p.add_argument(
-        "--axis", choices=("delta", "g"), default=None,
+        "--axis", choices=tuple(model.axis for model in MODELS.values()), default=None,
         help="plotting axis (default: delta for xxz, g for xy)",
     )
     sweep_p.add_argument(
@@ -331,7 +323,7 @@ def build_parser() -> argparse.ArgumentParser:
     flow_p = sub.add_parser(
         "flow", help="follow one starting point through repeated map iterations"
     )
-    flow_p.add_argument("--model", choices=("xxz", "xy"), required=True)
+    flow_p.add_argument("--model", choices=tuple(MODELS), required=True)
     flow_p.add_argument(
         "--start", type=float, required=True,
         help="initial coupling (delta for xxz, gamma for xy)",
@@ -352,7 +344,7 @@ def build_parser() -> argparse.ArgumentParser:
     scaling_p = sub.add_parser(
         "scaling", help="fit derivative-extremum power laws against effective size"
     )
-    scaling_p.add_argument("--model", choices=("xxz", "xy"), default="xy")
+    scaling_p.add_argument("--model", choices=tuple(MODELS), default="xy")
     scaling_p.add_argument("--measure", choices=MEASURE_NAMES, default="chsh_max")
     scaling_p.add_argument(
         "--iterations", type=_parse_iterations, default=None, metavar="DEPTHS",
@@ -392,7 +384,7 @@ def build_parser() -> argparse.ArgumentParser:
     fp_p = sub.add_parser(
         "fixed-points", help="report coupling-map fixed points and their stability"
     )
-    fp_p.add_argument("--model", choices=("xxz", "xy", "all"), default="all")
+    fp_p.add_argument("--model", choices=(*MODELS, "all"), default="all")
     fp_p.set_defaults(func=_cmd_fixed_points)
 
     return parser

@@ -8,17 +8,7 @@ import numpy as np
 
 from .errors import DomainError
 from .measures import MEASURE_FUNCS, MEASURE_NAMES, MeasureSet, measure_all
-from .models import (
-    XXZ_FIXED_POINTS,
-    XY_FIXED_POINTS,
-    XXZParams,
-    XYParams,
-    gamma_of_g,
-    xxz_rg_step,
-    xxz_rho13,
-    xy_rg_step,
-    xy_rho13,
-)
+from .models import get_model, model_of
 
 ITERATION_CAP = 30
 _SNAP_TOL = 1e-14
@@ -33,13 +23,6 @@ def effective_size(n: int) -> int:
     return 3 ** (int(n) + 1)
 
 
-def _snap(value: float, points) -> float:
-    for p in points:
-        if abs(value - p) < _SNAP_TOL:
-            return p
-    return value
-
-
 def advance(params):
     """One coupling-map step with a fixed-point snap at 1e-14.
 
@@ -47,23 +30,13 @@ def advance(params):
     so saturated flows stop churning and sweeps stay consistent with
     trajectories.
     """
-    if isinstance(params, XXZParams):
-        nxt = xxz_rg_step(params)
-        return XXZParams(nxt.j, _snap(nxt.delta, XXZ_FIXED_POINTS))
-    if isinstance(params, XYParams):
-        nxt = xy_rg_step(params)
-        return XYParams(nxt.j, _snap(nxt.gamma, XY_FIXED_POINTS))
-    raise DomainError(f"unsupported parameter type {type(params).__name__}")
-
-
-def _reduced_state(params):
-    if isinstance(params, XXZParams):
-        return xxz_rho13(params.delta)
-    return xy_rho13(params.gamma)
-
-
-def _model_tag(params) -> str:
-    return "xxz" if isinstance(params, XXZParams) else "xy"
+    model = model_of(params)
+    nxt = model.step(params)
+    value = getattr(nxt, model.coupling)
+    for p in model.fixed_points:
+        if abs(value - p) < _SNAP_TOL:
+            return model.params(nxt.j, p)
+    return nxt
 
 
 @dataclass(frozen=True)
@@ -89,10 +62,7 @@ def iterate(params, n_steps: int, cap: int | None = ITERATION_CAP) -> RGTrajecto
     Returns n_steps + 1 entries (iteration 0 is the bare block).  Steps beyond
     cap raise DomainError; pass cap=None to lift it.
     """
-    if isinstance(params, (XXZParams, XYParams)):
-        model = _model_tag(params)
-    else:
-        raise DomainError(f"unsupported parameter type {type(params).__name__}")
+    model = model_of(params)
     if not isinstance(n_steps, (int, np.integer)) or isinstance(n_steps, bool) or n_steps < 0:
         raise DomainError(f"step count must be a non-negative integer, got {n_steps!r}")
     if cap is not None and n_steps > cap:
@@ -101,11 +71,11 @@ def iterate(params, n_steps: int, cap: int | None = ITERATION_CAP) -> RGTrajecto
     current = params
     for n in range(int(n_steps) + 1):
         steps.append(
-            FlowStep(n, current, effective_size(n), measure_all(_reduced_state(current)))
+            FlowStep(n, current, effective_size(n), measure_all(model.edge_state(current)))
         )
         if n < n_steps:
             current = advance(current)
-    return RGTrajectory(model, params, tuple(steps))
+    return RGTrajectory(model.name, params, tuple(steps))
 
 
 @dataclass(frozen=True, eq=False)
@@ -118,12 +88,6 @@ class SweepTable:
     iterations: tuple[int, ...]
     measures: tuple[str, ...]
     values: np.ndarray
-
-
-def _initial_params(model: str, axis_value: float):
-    if model == "xxz":
-        return XXZParams(1.0, axis_value)
-    return XYParams(1.0, gamma_of_g(axis_value))
 
 
 def sweep(
@@ -141,11 +105,9 @@ def sweep(
     XXZ sweeps run over the anisotropy axis 'delta'; XY sweeps run over the
     plotting variable 'g' (converted to gamma internally).
     """
-    expected_axis = {"xxz": "delta", "xy": "g"}.get(model)
-    if expected_axis is None:
-        raise DomainError(f"unknown model {model!r}")
-    if axis != expected_axis:
-        raise DomainError(f"model {model!r} sweeps over axis {expected_axis!r}, got {axis!r}")
+    entry = get_model(model)
+    if axis != entry.axis:
+        raise DomainError(f"model {model!r} sweeps over axis {entry.axis!r}, got {axis!r}")
     if not (np.isfinite(lo) and np.isfinite(hi)) or not lo < hi:
         raise DomainError(f"need finite lo < hi, got [{lo}, {hi}]")
     if lo < 0.0:
@@ -174,10 +136,10 @@ def sweep(
     values = np.empty((len(its), len(grid), len(chosen)))
     wanted = {n: row for row, n in enumerate(its)}
     for col, axis_value in enumerate(grid):
-        params = _initial_params(model, float(axis_value))
+        params = entry.params(1.0, entry.coupling_of_axis(float(axis_value)))
         for n in range(its[-1] + 1):
             if n in wanted:
-                state = _reduced_state(params)
+                state = entry.edge_state(params)
                 values[wanted[n], col, :] = [f(state) for f in funcs]
             if n < its[-1]:
                 params = advance(params)

@@ -4,20 +4,21 @@ Both chains are renormalized by three-site blocks with two bonds (1-2, 2-3)
 and a J/4 interaction prefactor.  Basis convention throughout: |s1 s2 s3>
 with site 1 the most significant bit and spin-up = 0, so the one-down XXZ
 amplitudes sit at indices 1, 2, 4.
+
+``MODELS`` describes each chain once (a ``Model`` record); every other module
+reads the record instead of branching on the model.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
-from .errors import DomainError, NotDensityMatrix
+from .errors import DomainError
 from .xstate import XState
-
-XXZ_FIXED_POINTS = (0.0, 1.0)
-XY_FIXED_POINTS = (-1.0, 0.0, 1.0)
 
 _SX = np.array([[0.0, 1.0], [1.0, 0.0]])
 _SZ = np.array([[1.0, 0.0], [0.0, -1.0]])
@@ -176,69 +177,127 @@ def gamma_of_g(g: float) -> float:
     return (g - 1.0) / (g + 1.0)
 
 
-def _xxz_delta_map(delta: float) -> float:
+def _xxz_slope(delta: float) -> float:
+    """Exact d delta'/d delta = q^2/4 + delta q q'/2 with q' = -(1 + delta/sqrt(delta^2+8))/2."""
     q = q_of_delta(delta)
-    return delta * q * q / 4.0
+    dq = -0.5 * (1.0 + delta / math.sqrt(delta * delta + 8.0))
+    return q * q / 4.0 + delta * q * dq / 2.0
 
 
-def _xy_gamma_map(gamma: float) -> float:
-    return (gamma ** 3 + 3.0 * gamma) / (3.0 * gamma * gamma + 1.0)
+def _xy_slope(gamma: float) -> float:
+    """Exact d gamma'/d gamma = 3 (1 - gamma^2)^2 / (3 gamma^2 + 1)^2."""
+    g2 = gamma * gamma
+    return 3.0 * (1.0 - g2) ** 2 / (3.0 * g2 + 1.0) ** 2
+
+
+@dataclass(frozen=True)
+class Model:
+    """One chain: its couplings, coupling map, block states and plotting axis.
+
+    The callables take the model's params, except ``coupling_of_axis`` (axis
+    value -> coupling) and ``slope`` and ``bell_strict`` (coupling value).
+    They call the module-level functions through their names, so a wrapper
+    installed on this module (a profiler, a test double) sees every call.
+    """
+
+    name: str
+    params: type
+    coupling: str  # params field the map flows besides j
+    axis: str  # sweep and plotting variable
+    coupling_of_axis: Callable[[float], float]
+    axis_range: tuple[float, float]  # default sweep range
+    coupling_range: tuple[float, float]  # couplings sampled by the block checks
+    fixed_points: tuple[float, ...]
+    step: Callable
+    slope: Callable[[float], float]  # exact derivative of the coupling map
+    edge_state: Callable
+    ground_states: Callable
+    bond: Callable  # two-site bond Hamiltonian, J/4 prefactor included
+    energy: Callable
+    bell_strict: Callable  # couplings where the Bell bound holds with margin
+
+
+_ENTRIES = (
+    Model(
+        name="xxz",
+        params=XXZParams,
+        coupling="delta",
+        axis="delta",
+        coupling_of_axis=float,
+        axis_range=(0.0, 2.5),
+        coupling_range=(0.0, 2.5),
+        fixed_points=(0.0, 1.0),
+        step=lambda p: xxz_rg_step(p),
+        slope=_xxz_slope,
+        edge_state=lambda p: xxz_rho13(p.delta),
+        ground_states=lambda p: xxz_ground_states(p.delta),
+        bond=lambda p: p.j / 4.0 * (_XX + _YY + p.delta * _ZZ),
+        energy=lambda p: p.j * q_of_delta(p.delta) / 2.0,
+        # basin of the delta = 0 sink; the bound saturates only as delta -> inf
+        bell_strict=lambda delta: delta <= 1.0,
+    ),
+    Model(
+        name="xy",
+        params=XYParams,
+        coupling="gamma",
+        axis="g",
+        coupling_of_axis=gamma_of_g,
+        axis_range=(0.0, 3.0),
+        coupling_range=(-1.0, 1.0),
+        fixed_points=(-1.0, 0.0, 1.0),
+        step=lambda p: xy_rg_step(p),
+        slope=_xy_slope,
+        edge_state=lambda p: xy_rho13(p.gamma),
+        ground_states=lambda p: xy_ground_states(p.gamma),
+        bond=lambda p: p.j / 4.0 * ((1.0 + p.gamma) * _XX + (1.0 - p.gamma) * _YY),
+        energy=lambda p: -p.j * np.sqrt(2.0 * (1.0 + p.gamma ** 2)) / 2.0,
+        # the bound saturates at the sinks gamma = +-1
+        bell_strict=lambda gamma: abs(gamma) < 0.999,
+    ),
+)
+
+MODELS = {model.name: model for model in _ENTRIES}
+_MODEL_OF_PARAMS = {model.params: model for model in _ENTRIES}
+
+
+def get_model(name: str) -> Model:
+    """Registry entry for a model name."""
+    try:
+        return MODELS[name]
+    except KeyError:
+        raise DomainError(f"unknown model {name!r}") from None
+
+
+def model_of(params) -> Model:
+    """Registry entry for a params instance."""
+    try:
+        return _MODEL_OF_PARAMS[type(params)]
+    except KeyError:
+        raise DomainError(f"unsupported parameter type {type(params).__name__}") from None
 
 
 def fixed_points(model: str) -> list[tuple[float, str]]:
-    """Coupling-map fixed points with stability from |map'| vs 1.
-
-    The derivative is taken by a small finite difference, one-sided at domain
-    boundaries (delta = 0, gamma = +-1).
-    """
-    if model == "xxz":
-        points, mapping, lo, hi = XXZ_FIXED_POINTS, _xxz_delta_map, 0.0, np.inf
-    elif model == "xy":
-        points, mapping, lo, hi = XY_FIXED_POINTS, _xy_gamma_map, -1.0, 1.0
-    else:
-        raise DomainError(f"unknown model {model!r}")
-    h = 1e-7
-    out = []
-    for p in points:
-        a, b = max(p - h, lo), min(p + h, hi)
-        slope = (mapping(b) - mapping(a)) / (b - a)
-        out.append((p, "stable" if abs(slope) < 1.0 else "unstable"))
-    return out
+    """Coupling-map fixed points, stable where the exact |map'| is below 1."""
+    entry = get_model(model)
+    return [(p, "stable" if abs(entry.slope(p)) < 1.0 else "unstable") for p in entry.fixed_points]
 
 
 def block_hamiltonian(params) -> np.ndarray:
     """Dense 8x8 real symmetric Hamiltonian of the open three-site block."""
-    if isinstance(params, XXZParams):
-        bond = params.j / 4.0 * (_XX + _YY + params.delta * _ZZ)
-    elif isinstance(params, XYParams):
-        bond = params.j / 4.0 * ((1.0 + params.gamma) * _XX + (1.0 - params.gamma) * _YY)
-    else:
-        raise DomainError(f"unsupported parameter type {type(params).__name__}")
+    bond = model_of(params).bond(params)
     return np.kron(bond, _ID2) + np.kron(_ID2, bond)
 
 
 def ground_energy(params) -> float:
     """Closed-form ground energy of the three-site block."""
-    if isinstance(params, XXZParams):
-        return params.j * q_of_delta(params.delta) / 2.0
-    if isinstance(params, XYParams):
-        return -params.j * np.sqrt(2.0 * (1.0 + params.gamma ** 2)) / 2.0
-    raise DomainError(f"unsupported parameter type {type(params).__name__}")
+    return model_of(params).energy(params)
 
 
 def ground_states(params) -> tuple[BlockState8, BlockState8]:
     """Closed-form degenerate ground doublet for either model."""
-    if isinstance(params, XXZParams):
-        return xxz_ground_states(params.delta)
-    if isinstance(params, XYParams):
-        return xy_ground_states(params.gamma)
-    raise DomainError(f"unsupported parameter type {type(params).__name__}")
+    return model_of(params).ground_states(params)
 
 
 def reduced_state(params) -> XState:
     """Edge-pair state of the first ground ket after tracing the middle site."""
-    if isinstance(params, XXZParams):
-        return xxz_rho13(params.delta)
-    if isinstance(params, XYParams):
-        return xy_rho13(params.gamma)
-    raise DomainError(f"unsupported parameter type {type(params).__name__}")
+    return model_of(params).edge_state(params)

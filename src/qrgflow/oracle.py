@@ -197,47 +197,38 @@ def _unit_vectors(theta, phi):
     ).reshape(-1, 3)
     return vecs, th.ravel(), ph.ravel()
 
-def _chsh_over_pairs(t: np.ndarray, b1: np.ndarray, b2: np.ndarray) -> np.ndarray:
-    """CHSH value for every (b, b') pair, maximizing a, a' exactly per pair."""
-    tb1 = b1 @ t.T
-    tb2 = b2 @ t.T
-    n1 = np.sum(tb1 * tb1, axis=1)[:, None]
-    n2 = np.sum(tb2 * tb2, axis=1)[None, :]
-    cross = tb1 @ tb2.T
-    plus = np.sqrt(np.maximum(n1 + n2 + 2.0 * cross, 0.0))
-    minus = np.sqrt(np.maximum(n1 + n2 - 2.0 * cross, 0.0))
-    return plus + minus
 
+def brute_force_chsh(s: XState, coarse: int = 24, refine_iters: int = 16) -> float:
+    """Maximal CHSH expectation by a direct search over plane normals.
 
-def brute_force_chsh(s: XState, coarse: int = 24, refine_iters: int = 4) -> float:
-    """Maximal CHSH expectation by direct search over Bell-operator vectors.
-
-    Works from the dense matrix through the full 3x3 correlation matrix.  The
-    two detector-setting vectors b, b' are scanned on an angular grid with
-    factor-10 window refinement; for each candidate pair the opposite-side
-    vectors are maximized exactly along T(b+b') and T(b-b').
+    Works from the dense matrix through the full 3x3 correlation matrix T.  The
+    optimal detector settings b, b' on one side are orthonormal (Horodecki,
+    Horodecki & Horodecki, PLA 200, 340 (1995)), so with M = T^T T the maximum
+    is 2 sqrt(tr M - min over unit n of n^T M n), n the normal of their plane.
+    n is scanned on a hemisphere grid, then refined refine_iters times on a
+    7 x 7 window that shrinks by a factor of 3 per pass.  For an X state T is
+    diagonal, so the optimal n is a coordinate axis, which the grid contains.
     """
     t = _correlation_matrix(xstate_to_matrix(s).astype(complex))
-    theta = np.linspace(0.0, np.pi, coarse)
+    m = t.T @ t
+
+    def quad(theta, phi):
+        vecs, th, ph = _unit_vectors(theta, phi)
+        vals = np.einsum("ki,ij,kj->k", vecs, m, vecs)
+        k = int(np.argmin(vals))
+        return float(vals[k]), float(th[k]), float(ph[k])
+
+    theta = np.linspace(0.0, np.pi / 2.0, coarse)
     phi = np.linspace(0.0, 2.0 * np.pi, 2 * coarse, endpoint=False)
-    vecs, th, ph = _unit_vectors(theta, phi)
-    vals = _chsh_over_pairs(t, vecs, vecs)
-    k = np.unravel_index(int(np.argmax(vals)), vals.shape)
-    best = float(vals[k])
-    ang = [th[k[0]], ph[k[0]], th[k[1]], ph[k[1]]]
+    best, best_t, best_p = quad(theta, phi)
     win_t, win_p = theta[1] - theta[0], phi[1] - phi[0]
     for _ in range(refine_iters):
-        t1 = np.linspace(ang[0] - win_t, ang[0] + win_t, 9)
-        p1 = np.linspace(ang[1] - win_p, ang[1] + win_p, 9)
-        t2 = np.linspace(ang[2] - win_t, ang[2] + win_t, 9)
-        p2 = np.linspace(ang[3] - win_p, ang[3] + win_p, 9)
-        v1, th1, ph1 = _unit_vectors(t1, p1)
-        v2, th2, ph2 = _unit_vectors(t2, p2)
-        vals = _chsh_over_pairs(t, v1, v2)
-        k = np.unravel_index(int(np.argmax(vals)), vals.shape)
-        if vals[k] > best:
-            best = float(vals[k])
-            ang = [th1[k[0]], ph1[k[0]], th2[k[1]], ph2[k[1]]]
-        win_t /= 10.0
-        win_p /= 10.0
-    return best
+        value, th, ph = quad(
+            np.linspace(best_t - win_t, best_t + win_t, 7),
+            np.linspace(best_p - win_p, best_p + win_p, 7),
+        )
+        if value < best:
+            best, best_t, best_p = value, th, ph
+        win_t /= 3.0
+        win_p /= 3.0
+    return 2.0 * float(np.sqrt(max(np.trace(m) - best, 0.0)))

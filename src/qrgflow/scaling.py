@@ -20,6 +20,7 @@ from .errors import (
 )
 from .flow import effective_size, sweep
 from .measures import MEASURE_FUNCS
+from .models import get_model
 
 CRITICAL_POINT = 1.0  # both models in their plotting variables
 
@@ -142,7 +143,9 @@ def derivative_extremum(
     window of width 10 * |critical - estimate| centred on the estimate, which
     resolves the sharpening extremum without a globally dense grid.
     """
-    axis = "delta" if model == "xxz" else "g"
+    if refine_passes < 0:
+        raise DomainError(f"refine_passes must be >= 0, got {refine_passes}")
+    axis = get_model(model).axis
 
     def locate(a: float, b: float) -> tuple[float, float]:
         table = sweep(model, axis, a, b, points, [n], measures=[measure])

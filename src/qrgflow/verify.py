@@ -11,17 +11,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .flow import sweep
+from .errors import DomainError
+from .flow import advance, sweep
 from .measures import chsh_max, discord_optimal, discord_sigma_z, measure_all, mid
-from .models import (
-    XXZParams,
-    XYParams,
-    block_hamiltonian,
-    ground_energy,
-    ground_states,
-    reduced_state,
-    xy_rg_step,
-)
+from .models import MODELS, block_hamiltonian, ground_energy, ground_states, reduced_state
 from .oracle import (
     brute_force_chsh,
     brute_force_discord,
@@ -127,12 +120,9 @@ def check_ground_blocks(params_per_model: int = 50, seed: int = 42) -> CheckResu
     worst_rho = 0.0
     worst_energy = 0.0
     min_gap = math.inf
-    for model in ("xxz", "xy"):
+    for model in MODELS.values():
         for _ in range(params_per_model):
-            if model == "xxz":
-                params = XXZParams(1.0, rng.uniform(0.0, 2.5))
-            else:
-                params = XYParams(1.0, rng.uniform(-1.0, 1.0))
+            params = model.params(1.0, rng.uniform(*model.coupling_range))
             h = block_hamiltonian(params)
             eig = diag_symmetric(h)
             e0 = ground_energy(params)
@@ -177,22 +167,18 @@ def check_bell_bound(points: int = 500, max_iteration: int = 6) -> CheckResult:
     iterations = range(max_iteration + 1)
     overall = 0.0
     strict = 0.0
-
-    xxz = sweep("xxz", "delta", 0.0, 2.5, points, iterations, measures=["chsh_max"])
-    vals = xxz.values[:, :, 0]
-    overall = max(overall, float(vals.max()))
-    inside = xxz.grid <= 1.0
-    strict = max(strict, float(vals[:, inside].max()))
-
-    xy = sweep("xy", "g", 0.0, 3.0, points, iterations, measures=["chsh_max"])
-    vals = xy.values[:, :, 0]
-    overall = max(overall, float(vals.max()))
-    gam = (xy.grid - 1.0) / (xy.grid + 1.0)
-    for i in range(max_iteration + 1):
-        inside = np.abs(gam) < 0.999
-        if inside.any():
-            strict = max(strict, float(vals[i, inside].max()))
-        gam = np.array([xy_rg_step(XYParams(1.0, g)).gamma for g in gam])
+    for model in MODELS.values():
+        table = sweep(model.name, model.axis, *model.axis_range, points, iterations,
+                      measures=["chsh_max"])
+        vals = table.values[:, :, 0]
+        overall = max(overall, float(vals.max()))
+        flowed = [model.params(1.0, model.coupling_of_axis(float(x))) for x in table.grid]
+        for i in iterations:
+            if i:
+                flowed = [advance(p) for p in flowed]
+            inside = np.array([model.bell_strict(getattr(p, model.coupling)) for p in flowed])
+            if inside.any():
+                strict = max(strict, float(vals[i, inside].max()))
 
     ok = overall <= 2.0 + 1e-12 and strict < 2.0 - 1e-9
     return CheckResult(
@@ -285,7 +271,20 @@ def run_all(
     seed: int = 42,
     inject_fault: bool = False,
 ) -> list[CheckResult]:
-    """Full verification battery; each entry is independent of the others."""
+    """Full verification battery; each entry is independent of the others.
+
+    Every count must be at least 1, so no check can pass on an empty sample.
+    """
+    counts = {
+        "oracle_states": oracle_states,
+        "random_states": random_states,
+        "params_per_model": params_per_model,
+        "sweep_points": sweep_points,
+        "jacobi_matrices": jacobi_matrices,
+    }
+    empty = [f"{name}={value}" for name, value in counts.items() if value < 1]
+    if empty:
+        raise DomainError(f"sample counts must be >= 1, got {', '.join(empty)}")
     results = [
         check_bloch_round_trip(states=max(1, random_states // 5), seed=seed),
         check_spectrum_oracle(states=max(1, random_states // 20), seed=seed),

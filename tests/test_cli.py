@@ -162,6 +162,42 @@ def test_config_error_exit_codes(tmp_path, capsys):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("counts", [
+    ["--oracle-states", "0", "--random-states", "0", "--jacobi-matrices", "0",
+     "--params-per-model", "0"],
+    ["--oracle-states", "-3"],
+])
+def test_verify_rejects_empty_samples(counts, capsys):
+    assert run(["verify"] + counts) == 2
+    captured = capsys.readouterr()
+    assert "error:" in captured.err and "oracle_states" in captured.err
+    assert "checks passed" not in captured.out
+
+
+def test_out_naming_a_file_exits_2(tmp_path, capsys):
+    # a regular file, since permission bits do not stop a root user
+    target = tmp_path / "taken"
+    target.write_text("", encoding="utf-8")
+    for argv in (
+        ["sweep", "--model", "xy", "--points", "4", "--iterations", "0"],
+        ["flow", "--model", "xxz", "--start", "0.5", "--steps", "1"],
+    ):
+        assert run(argv + ["--out", str(target)]) == 2
+        assert "error:" in capsys.readouterr().err
+    assert run(["flow", "--model", "xy", "--start", "0.1", "--out", str(target / "sub")]) == 2
+    assert "error:" in capsys.readouterr().err
+
+
+def test_scaling_rejects_negative_refine_passes(tmp_path, capsys):
+    rc = run([
+        "scaling", "--model", "xy", "--points", "101", "--iterations", "2..4",
+        "--refine-passes", "-1", "--out", str(tmp_path),
+    ])
+    assert rc == 2
+    assert "refine_passes" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
 def test_numeric_failure_exit_code(tmp_path, capsys):
     # search window far from the critical point: extremum lands on the edge
     rc = run([

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from qrgflow import (
+    MODELS,
     DomainError,
     XXZParams,
     XYParams,
@@ -104,6 +105,30 @@ def test_map_slopes_at_fixed_points():
     # XY slope at gamma = 0 is 3
     slope_g = (xy_rg_step(XYParams(1.0, h)).gamma - xy_rg_step(XYParams(1.0, -h)).gamma) / (2 * h)
     assert slope_g == pytest.approx(3.0, abs=1e-6)
+
+
+@pytest.mark.parametrize("name, points", [
+    ("xxz", [0.05, 0.4, 0.8, 1.3, 2.5, 7.0]),
+    ("xy", [-0.9, -0.4, 0.2, 0.55, 0.95]),
+])
+def test_exact_map_slope_matches_central_difference(name, points):
+    model = MODELS[name]
+    h = 1e-6
+    for c in points:
+        up = getattr(model.step(model.params(1.0, c + h)), model.coupling)
+        down = getattr(model.step(model.params(1.0, c - h)), model.coupling)
+        assert model.slope(c) == pytest.approx((up - down) / (2.0 * h), rel=1e-7, abs=1e-8)
+
+
+def test_critical_exponent_from_exact_slope():
+    # 1/nu = ln f'(critical) / ln 3 for a block of three sites
+    assert MODELS["xy"].slope(0.0) == 3.0
+    assert np.log(MODELS["xy"].slope(0.0)) / np.log(3.0) == pytest.approx(1.0, abs=1e-12)
+    xxz = np.log(MODELS["xxz"].slope(1.0)) / np.log(3.0)
+    assert xxz == pytest.approx(np.log(5.0 / 3.0) / np.log(3.0), abs=1e-12)
+    assert xxz == pytest.approx(0.46497, abs=1e-5)
+    assert MODELS["xxz"].slope(0.0) == pytest.approx(0.5, abs=1e-15)
+    assert MODELS["xy"].slope(1.0) == MODELS["xy"].slope(-1.0) == 0.0
 
 
 @pytest.mark.parametrize("delta", [0.0, 0.3, 1.0, 1.7, 2.5])

@@ -13,8 +13,10 @@ from qrgflow import (
     discord_optimal,
     partial_trace_mid,
     random_xstates,
+    xstate_to_matrix,
     xxz_rho13,
 )
+from qrgflow.oracle import _correlation_matrix, _unit_vectors
 
 BELL = XState(0.5, 0.0, 0.0, 0.5, 0.5, 0.0)
 
@@ -127,3 +129,53 @@ def test_brute_chsh_known_states():
 def test_brute_chsh_agrees_with_closed_form():
     for s in random_xstates(40, seed=37):
         assert abs(brute_force_chsh(s) - chsh_max(s)) < 1e-4
+
+
+def _pair_search_chsh(s, coarse=24, refine_iters=4):
+    """Reference search over detector pairs (b, b'), a, a' maximized exactly.
+
+    Every value it returns is attained by real settings, so it can only
+    undershoot the true maximum: a one-sided bound on the closed form.
+    """
+    t = _correlation_matrix(xstate_to_matrix(s).astype(complex))
+
+    def pairs(b1, b2):
+        tb1, tb2 = b1 @ t.T, b2 @ t.T
+        n1 = np.sum(tb1 * tb1, axis=1)[:, None]
+        n2 = np.sum(tb2 * tb2, axis=1)[None, :]
+        cross = tb1 @ tb2.T
+        return (np.sqrt(np.maximum(n1 + n2 + 2.0 * cross, 0.0))
+                + np.sqrt(np.maximum(n1 + n2 - 2.0 * cross, 0.0)))
+
+    theta = np.linspace(0.0, np.pi, coarse)
+    phi = np.linspace(0.0, 2.0 * np.pi, 2 * coarse, endpoint=False)
+    vecs, th, ph = _unit_vectors(theta, phi)
+    vals = pairs(vecs, vecs)
+    k = np.unravel_index(int(np.argmax(vals)), vals.shape)
+    best = float(vals[k])
+    ang = [th[k[0]], ph[k[0]], th[k[1]], ph[k[1]]]
+    win_t, win_p = theta[1] - theta[0], phi[1] - phi[0]
+    for _ in range(refine_iters):
+        v1, th1, ph1 = _unit_vectors(np.linspace(ang[0] - win_t, ang[0] + win_t, 9),
+                                     np.linspace(ang[1] - win_p, ang[1] + win_p, 9))
+        v2, th2, ph2 = _unit_vectors(np.linspace(ang[2] - win_t, ang[2] + win_t, 9),
+                                     np.linspace(ang[3] - win_p, ang[3] + win_p, 9))
+        vals = pairs(v1, v2)
+        k = np.unravel_index(int(np.argmax(vals)), vals.shape)
+        if vals[k] > best:
+            best = float(vals[k])
+            ang = [th1[k[0]], ph1[k[0]], th2[k[1]], ph2[k[1]]]
+        win_t /= 10.0
+        win_p /= 10.0
+    return best
+
+
+def test_pair_search_never_exceeds_closed_form():
+    for s in random_xstates(40, seed=41) + [random_xstates(20, seed=1554290170)[9]]:
+        assert _pair_search_chsh(s) <= chsh_max(s) + 1e-12
+
+
+def test_brute_chsh_exact_on_pair_search_failure():
+    # the (b, b') pair search undershoots this state by 1.003e-4
+    s = random_xstates(20, seed=1554290170)[9]
+    assert abs(brute_force_chsh(s) - chsh_max(s)) < 1e-4
