@@ -78,10 +78,7 @@ def _parse_measures(text: str) -> list[str]:
         raise argparse.ArgumentTypeError(
             f"unknown measures {unknown}; choose from {', '.join(MEASURE_NAMES)}"
         )
-    deduped: list[str] = []
-    for name in names:
-        if name not in deduped:
-            deduped.append(name)
+    deduped = list(dict.fromkeys(names))
     if not deduped:
         raise argparse.ArgumentTypeError("empty measure list")
     return deduped
@@ -234,16 +231,9 @@ def _cmd_scaling(args) -> int:
     _write_text(csv_path, lines)
     print(f"wrote {csv_path}")
     fit_lines = [
-        "magnitude_fit exponent={} intercept={} r_squared={}".format(
-            fmt(report.magnitude_fit.exponent),
-            fmt(report.magnitude_fit.intercept),
-            fmt(report.magnitude_fit.r_squared),
-        ),
-        "position_fit exponent={} intercept={} r_squared={}".format(
-            fmt(report.position_fit.exponent),
-            fmt(report.position_fit.intercept),
-            fmt(report.position_fit.r_squared),
-        ),
+        f"{label}_fit exponent={fmt(fit.exponent)} intercept={fmt(fit.intercept)} "
+        f"r_squared={fmt(fit.r_squared)}"
+        for label, fit in (("magnitude", report.magnitude_fit), ("position", report.position_fit))
     ]
     fits_path = out / f"{stem}_fits.txt"
     _write_text(fits_path, fit_lines)

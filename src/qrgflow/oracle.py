@@ -4,7 +4,7 @@ Everything here recomputes quantities from dense matrices: a dependency-free
 cyclic Jacobi eigensolver, a partial trace over the middle site of a
 three-site ket, and grid+refinement brute-force searches for quantum discord
 and the CHSH maximum.  None of it reuses the analytic X-state expressions it
-is meant to check.
+is meant to check, and only ``verify`` and the tests use it.
 """
 
 from __future__ import annotations
@@ -201,13 +201,14 @@ def _unit_vectors(theta, phi):
 def brute_force_chsh(s: XState, coarse: int = 24, refine_iters: int = 16) -> float:
     """Maximal CHSH expectation by a direct search over plane normals.
 
-    Works from the dense matrix through the full 3x3 correlation matrix T.  The
-    optimal detector settings b, b' on one side are orthonormal (Horodecki,
-    Horodecki & Horodecki, PLA 200, 340 (1995)), so with M = T^T T the maximum
-    is 2 sqrt(tr M - min over unit n of n^T M n), n the normal of their plane.
+    The optimal detector settings b, b' on one side are orthonormal (Horodecki,
+    Horodecki & Horodecki, PLA 200, 340 (1995)), so with T the 3x3 correlation
+    matrix of the dense state and M = T^T T the maximum is
+    2 sqrt(tr M - min over unit n of n^T M n), n the normal of their plane.
     n is scanned on a hemisphere grid, then refined refine_iters times on a
-    7 x 7 window that shrinks by a factor of 3 per pass.  For an X state T is
-    diagonal, so the optimal n is a coordinate axis, which the grid contains.
+    7 x 7 window shrinking by a factor of 3 per pass.  The refinement is exact
+    only for a diagonal M, as every X state gives (the optimal n is then a grid
+    axis); for a general M it can miss the least eigenvalue by ~1e-4.
     """
     t = _correlation_matrix(xstate_to_matrix(s).astype(complex))
     m = t.T @ t

@@ -1,7 +1,8 @@
 """Cross-checks between closed forms and independent brute-force routes.
 
 Every check returns a CheckResult rather than raising, so the full battery
-always runs and the CLI can print one line per check.
+always runs and the CLI can print one line per check.  A sample count below 1
+is a DomainError, never a PASS on nothing.
 """
 
 from __future__ import annotations
@@ -15,20 +16,8 @@ from .errors import DomainError
 from .flow import advance, sweep
 from .measures import chsh_max, discord_optimal, discord_sigma_z, measure_all, mid
 from .models import MODELS, block_hamiltonian, ground_energy, ground_states, reduced_state
-from .oracle import (
-    brute_force_chsh,
-    brute_force_discord,
-    diag_symmetric,
-    partial_trace_mid,
-)
-from .xstate import (
-    XState,
-    from_bloch,
-    random_xstates,
-    spectrum,
-    to_bloch,
-    xstate_to_matrix,
-)
+from .oracle import brute_force_chsh, brute_force_discord, diag_symmetric, partial_trace_mid
+from .xstate import XState, from_bloch, random_xstates, spectrum, to_bloch, xstate_to_matrix
 
 
 @dataclass(frozen=True)
@@ -38,26 +27,16 @@ class CheckResult:
     detail: str
 
 
-def _pauli_guard_holds(s: XState) -> bool:
-    # Region where the discord minimum is attained on a Pauli axis.
-    return abs(math.sqrt(s.d1 * s.d4) - math.sqrt(s.d2 * s.d3)) <= abs(s.a) + abs(s.b)
-
-
-def _guarded_states(count: int, seed: int) -> list[XState]:
-    states: list[XState] = []
-    batch_seed = seed
-    while len(states) < count:
-        for s in random_xstates(2 * count, seed=batch_seed):
-            if _pauli_guard_holds(s):
-                states.append(s)
-                if len(states) == count:
-                    break
-        batch_seed += 1
-    return states
+def _require_samples(**counts: int) -> None:
+    """A check that examined nothing must not pass: every count must be at least 1."""
+    empty = [f"{name}={value}" for name, value in counts.items() if value < 1]
+    if empty:
+        raise DomainError(f"sample counts must be >= 1, got {', '.join(empty)}")
 
 
 def check_mid_identity(states: int = 10000, seed: int = 42) -> CheckResult:
     """MID must coincide with the sigma-z measured discord on both sides."""
+    _require_samples(states=states)
     worst = 0.0
     for s in random_xstates(states, seed=seed):
         m = mid(s)
@@ -74,10 +53,11 @@ def check_mid_identity(states: int = 10000, seed: int = 42) -> CheckResult:
 
 
 def check_discord_oracle(states: int = 500, seed: int = 42, tol: float = 1e-4) -> CheckResult:
-    """Brute-force measurement search vs the Pauli-axis minimum on guarded states."""
+    """Brute-force measurement search vs the closed-form discord minimum."""
+    _require_samples(states=states)
     worst = 0.0
     floor = 0.0  # how far the oracle ever dips below the closed form
-    for k, s in enumerate(_guarded_states(states, seed)):
+    for k, s in enumerate(random_xstates(states, seed=seed)):
         side = "a" if k % 2 == 0 else "b"
         analytic, _ = discord_optimal(s, side=side)
         numeric, _ = brute_force_discord(s, side=side)
@@ -87,12 +67,13 @@ def check_discord_oracle(states: int = 500, seed: int = 42, tol: float = 1e-4) -
     return CheckResult(
         "discord-oracle-agreement",
         ok,
-        f"{states} guarded states, max |oracle - closed| = {worst:.3e}, "
+        f"{states} states, max |oracle - closed| = {worst:.3e}, "
         f"max undershoot = {floor:.3e}",
     )
 
 
 def check_chsh_oracle(states: int = 500, seed: int = 42, tol: float = 1e-4) -> CheckResult:
+    _require_samples(states=states)
     worst = 0.0
     for s in random_xstates(states, seed=seed):
         worst = max(worst, abs(brute_force_chsh(s) - chsh_max(s)))
@@ -115,6 +96,7 @@ def check_ground_blocks(params_per_model: int = 50, seed: int = 42) -> CheckResu
     residuals, and that tracing out the middle site reproduces the closed-form
     two-site state (the partner ket gives its spin-flipped twin).
     """
+    _require_samples(params_per_model=params_per_model)
     rng = np.random.default_rng(seed)
     worst_resid = 0.0
     worst_rho = 0.0
@@ -164,6 +146,7 @@ def check_bell_bound(points: int = 500, max_iteration: int = 6) -> CheckResult:
     global check allows equality; strictly inside the attracting regions the
     bound must hold with margin.
     """
+    _require_samples(points=points)
     iterations = range(max_iteration + 1)
     overall = 0.0
     strict = 0.0
@@ -189,6 +172,7 @@ def check_bell_bound(points: int = 500, max_iteration: int = 6) -> CheckResult:
 
 
 def check_spectrum_oracle(states: int = 500, seed: int = 42) -> CheckResult:
+    _require_samples(states=states)
     worst = 0.0
     for s in random_xstates(states, seed=seed):
         eig = diag_symmetric(xstate_to_matrix(s))
@@ -201,6 +185,7 @@ def check_spectrum_oracle(states: int = 500, seed: int = 42) -> CheckResult:
 
 
 def check_jacobi_reconstruction(matrices: int = 1000, seed: int = 42) -> CheckResult:
+    _require_samples(matrices=matrices)
     rng = np.random.default_rng(seed)
     worst_recon = 0.0
     worst_ortho = 0.0
@@ -222,6 +207,7 @@ def check_jacobi_reconstruction(matrices: int = 1000, seed: int = 42) -> CheckRe
 
 
 def check_bloch_round_trip(states: int = 2000, seed: int = 42) -> CheckResult:
+    _require_samples(states=states)
     worst = 0.0
     for s in random_xstates(states, seed=seed):
         back = from_bloch(to_bloch(s))
@@ -240,6 +226,7 @@ def check_bloch_round_trip(states: int = 2000, seed: int = 42) -> CheckResult:
 
 def check_measure_battery(states: int = 2000, seed: int = 42) -> CheckResult:
     """Structural sanity of the full measure set on random states."""
+    _require_samples(states=states)
     bad = ""
     for s in random_xstates(states, seed=seed):
         m = measure_all(s)
@@ -271,20 +258,10 @@ def run_all(
     seed: int = 42,
     inject_fault: bool = False,
 ) -> list[CheckResult]:
-    """Full verification battery; each entry is independent of the others.
-
-    Every count must be at least 1, so no check can pass on an empty sample.
-    """
-    counts = {
-        "oracle_states": oracle_states,
-        "random_states": random_states,
-        "params_per_model": params_per_model,
-        "sweep_points": sweep_points,
-        "jacobi_matrices": jacobi_matrices,
-    }
-    empty = [f"{name}={value}" for name, value in counts.items() if value < 1]
-    if empty:
-        raise DomainError(f"sample counts must be >= 1, got {', '.join(empty)}")
+    """Full verification battery; each entry is independent of the others."""
+    _require_samples(oracle_states=oracle_states, random_states=random_states,
+                     params_per_model=params_per_model, sweep_points=sweep_points,
+                     jacobi_matrices=jacobi_matrices)
     results = [
         check_bloch_round_trip(states=max(1, random_states // 5), seed=seed),
         check_spectrum_oracle(states=max(1, random_states // 20), seed=seed),

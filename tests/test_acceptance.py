@@ -172,21 +172,13 @@ def test_criterion_06_deficit_equals_diagonal_discord():
 
 
 def test_criterion_07_numeric_oracles_agree():
-    # Closed forms against independent numeric searches.  The discord
-    # comparison runs on states where the closed form claims an exact
-    # axis minimum (elsewhere it already defers to the search).
+    # Closed forms against independent numeric searches, on every state:
+    # the discord closed form never defers to the oracle it is checked by.
     t0 = time.perf_counter()
-    pool = random_xstates(1500, seed=42)
-    guarded = []
-    for s in pool:
-        if discord_optimal(s)[1].optimal_basis != "brute-force":
-            guarded.append(s)
-        if len(guarded) == 500:
-            break
-    assert len(guarded) == 500
+    states = random_xstates(500, seed=42)
 
     worst_d = 0.0
-    for k, s in enumerate(guarded):
+    for k, s in enumerate(states):
         side = "a" if k % 2 == 0 else "b"
         closed = discord_optimal(s, side=side)[0]
         numeric = brute_force_discord(s, side=side)[0]

@@ -8,6 +8,7 @@ from qrgflow import (
     InvalidDistribution,
     XState,
     binary_mix_entropy,
+    brute_force_discord,
     chsh_max,
     concurrence,
     discord_optimal,
@@ -20,9 +21,11 @@ from qrgflow import (
     mutual_information,
     random_xstates,
     shannon_entropy,
+    xstate_to_matrix,
     xxz_rho13,
     xy_rho13,
 )
+from qrgflow.measures import _interior_conditional, _pauli_guard
 
 BELL = XState(0.5, 0.0, 0.0, 0.5, 0.5, 0.0)
 PRODUCT = XState(0.25, 0.25, 0.25, 0.25, 0.0, 0.0)
@@ -124,15 +127,96 @@ def test_optimal_discord_never_above_fixed_axes():
         assert value <= fixed + 1e-9
 
 
-def test_brute_force_fallback_outside_guard():
-    # sqrt(d1 d4) - sqrt(d2 d3) = 0.3 > |a| + |b| = 0.02: guard fails
+def test_discord_outside_guard():
+    # sqrt(d1 d4) - sqrt(d2 d3) = 0.3 > |a| + |b| = 0.02: guard fails.  Both
+    # local Bloch vectors vanish, so the conditional entropy is
+    # h(|(t1 sin theta, 0, t3 cos theta)|) and the larger |t3| = 0.6 picks z.
     s = XState(0.4, 0.1, 0.1, 0.4, 0.01, 0.01)
     value, breakdown = discord_optimal(s)
-    assert breakdown.optimal_basis == "brute-force"
+    assert breakdown.optimal_basis == "z"
     fixed = min(
         discord_sigma_xy(s, "x"), discord_sigma_xy(s, "y"), discord_sigma_z(s)
     )
     assert value <= fixed + 1e-9
+    assert value == pytest.approx(brute_force_discord(s)[0], abs=1e-9)
+
+
+def _mp_discord(mp, s, side):
+    """Discord at 40 digits from the density-matrix blocks, minimized over theta.
+
+    The measurement axis runs over polar angles in the x-z and y-z planes; a
+    coarse grid brackets the least conditional entropy, golden sections refine it.
+    """
+    rho = mp.matrix(xstate_to_matrix(s).tolist())
+    if side == "b":
+        perm = [0, 2, 1, 3]
+        rho = mp.matrix([[rho[i, j] for j in perm] for i in perm])
+    block = [[rho[2 * i:2 * i + 2, 2 * j:2 * j + 2] for j in (0, 1)] for i in (0, 1)]
+
+    def entropy(values):
+        return -mp.fsum(x * mp.log(x, 2) for x in values if x > 0)
+
+    def pair_entropy(m):  # entropy of a 2x2 Hermitian block of trace p, times p
+        p = mp.re(m[0, 0] + m[1, 1])
+        rad = mp.sqrt(mp.re(m[0, 0] - m[1, 1]) ** 2 + 4 * abs(m[0, 1]) ** 2)
+        return entropy([(p + rad) / 2, (p - rad) / 2]) + (p * mp.log(p, 2) if p > 0 else 0)
+
+    def conditional(theta, phi):
+        n = (mp.sin(theta) * mp.cos(phi), mp.sin(theta) * mp.sin(phi), mp.cos(theta))
+        total = 0
+        for sgn in (1, -1):
+            proj = [[(1 + sgn * n[2]) / 2, sgn * (n[0] - 1j * n[1]) / 2],
+                    [sgn * (n[0] + 1j * n[1]) / 2, (1 - sgn * n[2]) / 2]]
+            total += pair_entropy(sum((proj[j][i] * block[i][j] for i in (0, 1) for j in (0, 1)),
+                                      mp.zeros(2, 2)))
+        return total
+
+    golden = (mp.sqrt(5) - 1) / 2
+    best = mp.inf
+    for phi in (0, mp.pi / 2):
+        grid = [k * mp.pi / 64 for k in range(33)]
+        k = min(range(33), key=lambda i: conditional(grid[i], phi))
+        lo, hi = grid[max(k - 1, 0)], grid[min(k + 1, 32)]
+        for _ in range(120):
+            x1, x2 = hi - golden * (hi - lo), lo + golden * (hi - lo)
+            if conditional(x1, phi) <= conditional(x2, phi):
+                hi = x2
+            else:
+                lo = x1
+        best = min(best, conditional((lo + hi) / 2, phi))
+    marginal = block[0][0][0, 0] + block[0][0][1, 1], block[1][1][0, 0] + block[1][1][1, 1]
+    d1, d2, d3, d4, a, b = (mp.mpf(float(x)) for x in (*s.diagonal, s.a, s.b))
+    outer = mp.sqrt(((d1 - d4) / 2) ** 2 + a ** 2)
+    inner = mp.sqrt(((d2 - d3) / 2) ** 2 + b ** 2)
+    spectrum = [(d1 + d4) / 2 + outer, (d1 + d4) / 2 - outer,
+                (d2 + d3) / 2 + inner, (d2 + d3) / 2 - inner]
+    return entropy(marginal) - entropy(spectrum) + best
+
+
+def test_interior_optimum_matches_high_precision_minimum():
+    # An unguarded state whose optimal axis on side a lies at theta ~ 0.5624,
+    # strictly between the Pauli axes, 1.630e-3 below the best of them.
+    mpmath = pytest.importorskip("mpmath")
+    s = random_xstates(4000, seed=2)[3042]
+    value, breakdown = discord_optimal(s, side="a")
+    assert breakdown.optimal_basis == "interior"
+    fixed = min(breakdown.cond_x, breakdown.cond_y, breakdown.cond_z)
+    gap = breakdown.s_a - breakdown.s_ab + fixed - value
+    assert gap == pytest.approx(1.630e-3, abs=1e-6)
+    with mpmath.workdps(40):
+        for side in ("a", "b"):
+            reference = _mp_discord(mpmath.mp, s, side)
+            assert abs(discord_optimal(s, side=side)[0] - float(reference)) < 1e-12
+
+
+def test_interior_search_never_beats_pauli_axes_under_guard():
+    for s in random_xstates(500, seed=11):
+        if not _pauli_guard(s):
+            continue
+        for side in ("a", "b"):
+            _, breakdown = discord_optimal(s, side=side)
+            pauli = min(breakdown.cond_x, breakdown.cond_y, breakdown.cond_z)
+            assert _interior_conditional(s, side) >= pauli - 1e-12
 
 
 def test_mid_equals_sigma_z_discord_sampled():
