@@ -2,13 +2,15 @@
 
 Everything here recomputes quantities from dense matrices: a dependency-free
 cyclic Jacobi eigensolver, a partial trace over the middle site of a
-three-site ket, and grid+refinement brute-force searches for quantum discord
-and the CHSH maximum.  None of it reuses the analytic X-state expressions it
-is meant to check, and only ``verify`` and the tests use it.
+three-site ket, a grid+refinement brute-force search for quantum discord, and
+the CHSH maximum from the least eigenvalue of T^T T (T the dense state's
+Pauli correlation matrix).  None of it reuses the analytic X-state
+expressions it is meant to check, and only ``verify`` and the tests use it.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,9 +20,14 @@ from .xstate import XState, xstate_to_matrix
 
 _LN2 = np.log(2.0)
 
-SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]])
-SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
+_PAULIS = np.array([
+    [[1.0, 0.0], [0.0, 1.0]],
+    [[0.0, 1.0], [1.0, 0.0]],
+    [[0.0, -1.0j], [1.0j, 0.0]],
+    [[1.0, 0.0], [0.0, -1.0]],
+])
+# _PAULI_PRODUCTS[mu, nu] = sigma_mu (x) sigma_nu on two qubits, first qubit most significant
+_PAULI_PRODUCTS = np.einsum("mac,nbd->mnabcd", _PAULIS, _PAULIS).reshape(4, 4, 4, 4)
 
 
 @dataclass(frozen=True)
@@ -44,7 +51,9 @@ def diag_symmetric(m, tol: float = 1e-12, max_sweeps: int = 100) -> EigenDecompo
 
     Sweeps Givens rotations over all (p, q) pairs until the off-diagonal
     Frobenius norm drops below tol.  Quadratically convergent; intended for
-    n <= 8 blocks where a hand-rolled solver stays trivially auditable.
+    n <= 8 blocks where a hand-rolled solver stays trivially auditable.  The
+    rotations run on Python float lists: at this size numpy's per-call
+    overhead would cost more than the arithmetic.
     """
     a = np.array(m, dtype=float, copy=True)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
@@ -52,33 +61,38 @@ def diag_symmetric(m, tol: float = 1e-12, max_sweeps: int = 100) -> EigenDecompo
     if np.abs(a - a.T).max() > 1e-10:
         raise NotSymmetric("matrix is not symmetric within 1e-10")
     n = a.shape[0]
-    v = np.eye(n)
+    rows = a.tolist()
+    vt = np.eye(n).tolist()  # vt[k] is eigenvector column k
+    skip = tol / (n * n)
     for _ in range(max_sweeps):
-        off = np.sqrt(np.sum(np.square(a - np.diag(np.diagonal(a)))))
+        off = math.sqrt(sum(x * x for i, row in enumerate(rows)
+                            for j, x in enumerate(row) if i != j))
         if off < tol:
             break
         for p in range(n - 1):
             for q in range(p + 1, n):
-                apq = a[p, q]
-                if abs(apq) < tol / (n * n):
+                apq = rows[p][q]
+                if abs(apq) < skip:
                     continue
-                theta = 0.5 * (a[q, q] - a[p, p]) / apq
-                t = np.sign(theta) / (abs(theta) + np.hypot(theta, 1.0)) if theta != 0 else 1.0
-                c = 1.0 / np.sqrt(t * t + 1.0)
+                theta = 0.5 * (rows[q][q] - rows[p][p]) / apq
+                if theta != 0:
+                    t = math.copysign(1.0, theta) / (abs(theta) + math.hypot(theta, 1.0))
+                else:
+                    t = 1.0
+                c = 1.0 / math.sqrt(t * t + 1.0)
                 s = t * c
-                col_p, col_q = a[:, p].copy(), a[:, q].copy()
-                a[:, p] = c * col_p - s * col_q
-                a[:, q] = s * col_p + c * col_q
-                row_p, row_q = a[p, :].copy(), a[q, :].copy()
-                a[p, :] = c * row_p - s * row_q
-                a[q, :] = s * row_p + c * row_q
-                vec_p, vec_q = v[:, p].copy(), v[:, q].copy()
-                v[:, p] = c * vec_p - s * vec_q
-                v[:, q] = s * vec_p + c * vec_q
+                for row in rows:
+                    x, y = row[p], row[q]
+                    row[p], row[q] = c * x - s * y, s * x + c * y
+                for vecs in (rows, vt):
+                    xs, ys = vecs[p], vecs[q]
+                    vecs[p] = [c * x - s * y for x, y in zip(xs, ys)]
+                    vecs[q] = [s * x + c * y for x, y in zip(xs, ys)]
     else:
         raise RuntimeError("Jacobi sweep limit reached without convergence")
-    order = np.argsort(np.diagonal(a), kind="stable")
-    return EigenDecomposition(np.diagonal(a)[order].copy(), v[:, order].copy())
+    diag = np.array([rows[k][k] for k in range(n)])
+    order = np.argsort(diag, kind="stable")
+    return EigenDecomposition(diag[order], np.array(vt).T[:, order])
 
 
 def partial_trace_mid(ket) -> np.ndarray:
@@ -92,46 +106,43 @@ def partial_trace_mid(ket) -> np.ndarray:
     return rho.reshape(4, 4)
 
 
-def _entropy_bits(values: np.ndarray) -> float:
-    lam = np.clip(np.asarray(values, dtype=float), 0.0, 1.0)
-    lam = lam[lam > 0.0]
-    return float(-(lam * np.log(lam)).sum() / _LN2)
+def _pauli_tensor(rho) -> np.ndarray:
+    """R[mu, nu] = tr(rho sigma_mu x sigma_nu), Pauli index 0 the identity."""
+    return np.einsum("ab,mnba->mn", rho, _PAULI_PRODUCTS).real
 
 
-def _block_views(rho: np.ndarray, side: str):
-    if side == "b":
-        perm = [0, 2, 1, 3]  # swap the two qubits
-        rho = rho[np.ix_(perm, perm)]
-    return [[rho[:2, :2], rho[:2, 2:]], [rho[2:, :2], rho[2:, 2:]]]
+def _xlogx(x: np.ndarray) -> np.ndarray:
+    """x ln x elementwise, 0 where x <= 0 (rounding can leave tiny negatives)."""
+    return x * np.log(x, out=np.zeros_like(x), where=x > 0.0)
 
 
-def _avg_conditional_entropy(blocks, theta, phi):
-    """Mean post-measurement entropy sum_k p_k S(rho_k) over a direction grid."""
-    nz = np.cos(theta)
-    nx = np.sin(theta) * np.cos(phi)
-    ny = np.sin(theta) * np.sin(phi)
-    total = np.zeros(np.broadcast(theta, phi).shape)
+def _entropy_bits(values) -> float:
+    return float(-_xlogx(np.asarray(values, dtype=float)).sum() / _LN2)
+
+
+def _conditional_coefficients(rho, side: str) -> np.ndarray:
+    """Half the Pauli tensor of rho, the measured qubit's index first."""
+    tensor = 0.5 * _pauli_tensor(rho)
+    return tensor if side == "a" else tensor.T
+
+
+def _avg_conditional_entropy(coeffs, theta, phi):
+    """Mean post-measurement entropy sum_k p_k S(rho_k) over broadcast theta, phi.
+
+    coeffs comes from _conditional_coefficients.  Measuring along n leaves the
+    other qubit in M_+- = (1/2) sum_nu c_nu sigma_nu with
+    c = coeffs[0] +- n . coeffs[1:], so p = c_0, the eigenvalues are
+    (c_0 +- |c_vec|) / 2 and p S(M / p) = p ln p - sum lambda ln lambda.
+    Real arithmetic throughout, valid for any Hermitian rho.
+    """
+    sin_t, cos_t, cos_p, sin_p = np.sin(theta), np.cos(theta), np.cos(phi), np.sin(phi)
+    shift = [sin_t * (cos_p * bx + sin_p * by) + cos_t * bz for bx, by, bz in coeffs[1:].T]
+    total = 0.0
     for sgn in (1.0, -1.0):
-        w = 0.5 * sgn * (nx + 1.0j * ny)
-        c0, c1 = 0.5 * (1.0 + sgn * nz), 0.5 * (1.0 - sgn * nz)
-        m00, m01, m11 = (
-            c0 * blocks[0][0][i, j]
-            + w * blocks[0][1][i, j]
-            + np.conj(w) * blocks[1][0][i, j]
-            + c1 * blocks[1][1][i, j]
-            for i, j in ((0, 0), (0, 1), (1, 1))
-        )
-        p = np.real(m00 + m11)
-        radius = np.sqrt(np.maximum(np.real(m00 - m11) ** 2 + 4.0 * np.abs(m01) ** 2, 0.0))
-        for lam in ((p + radius) / 2.0, (p - radius) / 2.0):
-            lam = np.clip(lam, 0.0, None)
-            mask = lam > 1e-300
-            contrib = np.zeros_like(lam)
-            pb = np.broadcast_to(p, lam.shape)
-            # p_k S(rho_k) accumulated as -mu log2(mu / p_k) with mu unnormalized
-            contrib[mask] = -lam[mask] * (np.log(lam[mask]) - np.log(pb[mask])) / _LN2
-            total += contrib
-    return total
+        p, x, y, z = (a + sgn * d for a, d in zip(coeffs[0], shift))
+        radius = np.sqrt(x * x + y * y + z * z)
+        total = total + _xlogx(p) - _xlogx((p + radius) / 2.0) - _xlogx((p - radius) / 2.0)
+    return total / _LN2
 
 
 def brute_force_discord(
@@ -148,31 +159,25 @@ def brute_force_discord(
     measurement direction.
     """
     rho = xstate_to_matrix(s)
-    blocks = _block_views(rho, side)
-    # measured side's marginal: entries Tr(R_ij) over the block decomposition
-    m00 = np.real(np.trace(blocks[0][0]))
-    m11 = np.real(np.trace(blocks[1][1]))
-    m01 = complex(np.trace(blocks[0][1]))
-    radius = np.hypot((m00 - m11) / 2.0, abs(m01))
-    mean = (m00 + m11) / 2.0
-    s_meas = _entropy_bits(np.array([mean + radius, mean - radius]))
+    coeffs = _conditional_coefficients(rho, side)
+    # the measured qubit's marginal is (1/2)(I + r.sigma) with r = 2 coeffs[1:, 0]
+    radius = float(np.linalg.norm(coeffs[1:, 0]))
+    s_meas = _entropy_bits([coeffs[0, 0] + radius, coeffs[0, 0] - radius])
     s_ab = _entropy_bits(diag_symmetric(rho).eigenvalues)
 
     theta = np.linspace(0.0, np.pi / 2.0, coarse)
     phi = np.linspace(0.0, 2.0 * np.pi, 2 * coarse, endpoint=False)
-    th, ph = np.meshgrid(theta, phi, indexing="ij")
-    grid = _avg_conditional_entropy(blocks, th, ph)
-    k = np.unravel_index(int(np.argmin(grid)), grid.shape)
-    best_t, best_p, best = float(th[k]), float(ph[k]), float(grid[k])
+    grid = _avg_conditional_entropy(coeffs, theta[:, None], phi)
+    i, j = np.unravel_index(int(np.argmin(grid)), grid.shape)
+    best_t, best_p, best = float(theta[i]), float(phi[j]), float(grid[i, j])
     win_t, win_p = theta[1] - theta[0], phi[1] - phi[0]
     for _ in range(refine_iters):
         theta = np.linspace(best_t - win_t, best_t + win_t, 19)
         phi = np.linspace(best_p - win_p, best_p + win_p, 19)
-        th, ph = np.meshgrid(theta, phi, indexing="ij")
-        grid = _avg_conditional_entropy(blocks, th, ph)
-        k = np.unravel_index(int(np.argmin(grid)), grid.shape)
-        if grid[k] < best:
-            best_t, best_p, best = float(th[k]), float(ph[k]), float(grid[k])
+        grid = _avg_conditional_entropy(coeffs, theta[:, None], phi)
+        i, j = np.unravel_index(int(np.argmin(grid)), grid.shape)
+        if grid[i, j] < best:
+            best_t, best_p, best = float(theta[i]), float(phi[j]), float(grid[i, j])
         win_t /= 10.0
         win_p /= 10.0
     if best_t < 0.0:  # (-theta, phi) names the same axis as (theta, phi + pi)
@@ -181,55 +186,16 @@ def brute_force_discord(
     return s_meas - s_ab + best, direction
 
 
-def _correlation_matrix(rho: np.ndarray) -> np.ndarray:
-    paulis = (SIGMA_X, SIGMA_Y, SIGMA_Z)
-    t = np.empty((3, 3))
-    for i, si in enumerate(paulis):
-        for j, sj in enumerate(paulis):
-            t[i, j] = np.real(np.trace(rho @ np.kron(si, sj)))
-    return t
+def brute_force_chsh(s: XState) -> float:
+    """Maximal CHSH expectation from the dense state's correlation matrix.
 
-
-def _unit_vectors(theta, phi):
-    th, ph = np.meshgrid(theta, phi, indexing="ij")
-    vecs = np.stack(
-        [np.sin(th) * np.cos(ph), np.sin(th) * np.sin(ph), np.cos(th)], axis=-1
-    ).reshape(-1, 3)
-    return vecs, th.ravel(), ph.ravel()
-
-
-def brute_force_chsh(s: XState, coarse: int = 24, refine_iters: int = 16) -> float:
-    """Maximal CHSH expectation by a direct search over plane normals.
-
-    The optimal detector settings b, b' on one side are orthonormal (Horodecki,
-    Horodecki & Horodecki, PLA 200, 340 (1995)), so with T the 3x3 correlation
-    matrix of the dense state and M = T^T T the maximum is
-    2 sqrt(tr M - min over unit n of n^T M n), n the normal of their plane.
-    n is scanned on a hemisphere grid, then refined refine_iters times on a
-    7 x 7 window shrinking by a factor of 3 per pass.  The refinement is exact
-    only for a diagonal M, as every X state gives (the optimal n is then a grid
-    axis); for a general M it can miss the least eigenvalue by ~1e-4.
+    With T[i, j] = tr(rho sigma_i x sigma_j) and M = T^T T, the maximum over
+    all detector settings is 2 sqrt(tr M - lambda_min(M)), twice the root of
+    the sum of M's two largest eigenvalues (Horodecki, Horodecki & Horodecki,
+    PLA 200, 340 (1995)).  lambda_min comes from the Jacobi solver, so the value is exact
+    to rounding for any M, not only for the diagonal M of an X state.
     """
-    t = _correlation_matrix(xstate_to_matrix(s).astype(complex))
+    t = _pauli_tensor(xstate_to_matrix(s))[1:, 1:]
     m = t.T @ t
-
-    def quad(theta, phi):
-        vecs, th, ph = _unit_vectors(theta, phi)
-        vals = np.einsum("ki,ij,kj->k", vecs, m, vecs)
-        k = int(np.argmin(vals))
-        return float(vals[k]), float(th[k]), float(ph[k])
-
-    theta = np.linspace(0.0, np.pi / 2.0, coarse)
-    phi = np.linspace(0.0, 2.0 * np.pi, 2 * coarse, endpoint=False)
-    best, best_t, best_p = quad(theta, phi)
-    win_t, win_p = theta[1] - theta[0], phi[1] - phi[0]
-    for _ in range(refine_iters):
-        value, th, ph = quad(
-            np.linspace(best_t - win_t, best_t + win_t, 7),
-            np.linspace(best_p - win_p, best_p + win_p, 7),
-        )
-        if value < best:
-            best, best_t, best_p = value, th, ph
-        win_t /= 3.0
-        win_p /= 3.0
-    return 2.0 * float(np.sqrt(max(np.trace(m) - best, 0.0)))
+    least = diag_symmetric(m).eigenvalues[0]
+    return 2.0 * float(np.sqrt(max(np.trace(m) - least, 0.0)))

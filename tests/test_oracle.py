@@ -17,7 +17,7 @@ from qrgflow import (
     xxz_rho13,
 )
 from qrgflow.measures import _pauli_guard
-from qrgflow.oracle import _correlation_matrix, _unit_vectors
+from qrgflow.oracle import _avg_conditional_entropy, _conditional_coefficients, _pauli_tensor
 
 BELL = XState(0.5, 0.0, 0.0, 0.5, 0.5, 0.0)
 
@@ -30,18 +30,28 @@ def test_jacobi_two_by_two():
 def test_jacobi_already_diagonal():
     eig = diag_symmetric(np.diag([3.0, 1.0, 2.0]))
     assert eig.eigenvalues == pytest.approx([1.0, 2.0, 3.0], abs=1e-15)
+    eig = diag_symmetric(np.array([[-2.5]]))
+    assert eig.eigenvalues == pytest.approx([-2.5], abs=1e-15)
+    assert np.array_equal(eig.eigenvectors, [[1.0]])
 
 
 def test_jacobi_reconstruction_random():
     rng = np.random.default_rng(23)
+    u = rng.standard_normal(8)
+    degenerate = np.eye(8) + np.outer(u, u)  # eigenvalue 1 seven times over
+    matrices = [degenerate]
     for _ in range(25):
         raw = rng.standard_normal((8, 8))
-        m = (raw + raw.T) / 2.0
+        matrices.append((raw + raw.T) / 2.0)
+    for m in matrices:
         eig = diag_symmetric(m)
         assert np.all(np.diff(eig.eigenvalues) >= -1e-12)
+        assert np.abs(eig.eigenvalues - np.linalg.eigvalsh(m)).max() < 1e-12
         v = eig.eigenvectors
         assert np.abs(v @ np.diag(eig.eigenvalues) @ v.T - m).max() < 1e-10
         assert np.abs(v.T @ v - np.eye(8)).max() < 1e-10
+    with pytest.raises(RuntimeError, match="sweep limit"):
+        diag_symmetric(matrices[1], max_sweeps=1)
 
 
 def test_jacobi_rejects_asymmetric_input():
@@ -49,6 +59,23 @@ def test_jacobi_rejects_asymmetric_input():
         diag_symmetric(np.array([[0.0, 1.0], [0.0, 0.0]]))
     with pytest.raises(NotSymmetric):
         diag_symmetric(np.zeros((2, 3)))
+
+
+def test_jacobi_least_eigenvalue_of_correlation_gram():
+    # M = T^T T as the CHSH oracle builds it; 30% with a near-degenerate low pair.
+    # A grid-and-window search over the plane normal misses lambda_min on 616 of
+    # these matrices, by up to 3.6e-4.
+    rng = np.random.default_rng(43)
+    for k in range(2000):
+        t = rng.uniform(-1.0, 1.0, (3, 3))
+        if k % 10 < 3:
+            q, _ = np.linalg.qr(rng.standard_normal((3, 3)))
+            low = rng.uniform(0.0, 0.5)
+            sv = np.sqrt([low, low + 10.0 ** rng.uniform(-9.0, -3.0), rng.uniform(0.6, 2.0)])
+            t = np.diag(sv) @ q.T
+        m = t.T @ t
+        least = diag_symmetric(m).eigenvalues[0]
+        assert abs(least - np.linalg.eigvalsh(m)[0]) < 1e-12
 
 
 def test_partial_trace_product_ket():
@@ -93,6 +120,40 @@ def test_partial_trace_is_density_matrix():
         assert np.abs(rho - rho.conj().T).max() < 1e-14
 
 
+def _dense_conditional_entropy(rho, side, theta, phi):
+    """sum_k p_k S(rho_k) bit by bit: project, trace out the measured qubit, eigvalsh."""
+    n = np.array([np.sin(theta) * np.cos(phi), np.sin(theta) * np.sin(phi), np.cos(theta)])
+    sigma = np.array([[[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])
+    total = 0.0
+    for sgn in (1.0, -1.0):
+        proj = 0.5 * (np.eye(2) + sgn * np.einsum("i,iab->ab", n, sigma))
+        op = np.kron(proj, np.eye(2)) if side == "a" else np.kron(np.eye(2), proj)
+        post = (op @ rho @ op).reshape(2, 2, 2, 2)
+        rest = np.einsum("abad->bd", post) if side == "a" else np.einsum("abcb->ac", post)
+        lam = np.linalg.eigvalsh(rest)
+        p = lam.sum()
+        lam = lam[lam > 1e-300] / p
+        total += -p * float(np.sum(lam * np.log2(lam)))
+    return total
+
+
+def test_conditional_entropy_kernel_matches_dense_projection():
+    # general complex states, not X states: the kernel must not lean on the X pattern
+    rng = np.random.default_rng(47)
+    for k in range(20):
+        g = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+        if k % 4 == 0:
+            g[:, 1:] *= 1e-3  # close to pure, so lambda_- of the outcomes nears 0
+        rho = g @ g.conj().T
+        rho /= np.trace(rho).real
+        theta = rng.uniform(0.0, np.pi, 50)
+        phi = rng.uniform(0.0, 2.0 * np.pi, 50)
+        for side in ("a", "b"):
+            kernel = _avg_conditional_entropy(_conditional_coefficients(rho, side), theta, phi)
+            dense = [_dense_conditional_entropy(rho, side, t, f) for t, f in zip(theta, phi)]
+            assert np.abs(kernel - dense).max() < 1e-12
+
+
 def test_brute_discord_bell():
     value, _ = brute_force_discord(BELL, coarse=30, refine_iters=3)
     assert value == pytest.approx(1.0, abs=1e-6)
@@ -131,13 +192,21 @@ def test_brute_chsh_agrees_with_closed_form():
         assert abs(brute_force_chsh(s) - chsh_max(s)) < 1e-4
 
 
+def _unit_vectors(theta, phi):
+    th, ph = np.meshgrid(theta, phi, indexing="ij")
+    vecs = np.stack(
+        [np.sin(th) * np.cos(ph), np.sin(th) * np.sin(ph), np.cos(th)], axis=-1
+    ).reshape(-1, 3)
+    return vecs, th.ravel(), ph.ravel()
+
+
 def _pair_search_chsh(s, coarse=24, refine_iters=4):
     """Reference search over detector pairs (b, b'), a, a' maximized exactly.
 
     Every value it returns is attained by real settings, so it can only
     undershoot the true maximum: a one-sided bound on the closed form.
     """
-    t = _correlation_matrix(xstate_to_matrix(s).astype(complex))
+    t = _pauli_tensor(xstate_to_matrix(s))[1:, 1:]
 
     def pairs(b1, b2):
         tb1, tb2 = b1 @ t.T, b2 @ t.T
