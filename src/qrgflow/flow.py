@@ -23,20 +23,19 @@ def effective_size(n: int) -> int:
     return 3 ** (int(n) + 1)
 
 
-def advance(params):
-    """One coupling-map step with a fixed-point snap at 1e-14.
+def _snapped_step(model, j: float, coupling: float) -> tuple[float, float]:
+    """One coupling-map step on floats; a coupling within 1e-14 of a fixed point snaps onto it."""
+    j, coupling = model.step(j, coupling)
+    for p in model.fixed_points:  # so converged flows stop churning at float resolution
+        if abs(coupling - p) < _SNAP_TOL:
+            return j, p
+    return j, coupling
 
-    The snap pins parameters that have converged to within float resolution,
-    so saturated flows stop churning and sweeps stay consistent with
-    trajectories.
-    """
+
+def advance(params):
+    """One snapped coupling-map step on a params record."""
     model = model_of(params)
-    nxt = model.step(params)
-    value = getattr(nxt, model.coupling)
-    for p in model.fixed_points:
-        if abs(value - p) < _SNAP_TOL:
-            return model.params(nxt.j, p)
-    return nxt
+    return model.params(*_snapped_step(model, params.j, getattr(params, model.coupling)))
 
 
 @dataclass(frozen=True)
@@ -70,9 +69,8 @@ def iterate(params, n_steps: int, cap: int | None = ITERATION_CAP) -> RGTrajecto
     steps = []
     current = params
     for n in range(int(n_steps) + 1):
-        steps.append(
-            FlowStep(n, current, effective_size(n), measure_all(model.edge_state(current)))
-        )
+        state = model.edge_state(getattr(current, model.coupling))
+        steps.append(FlowStep(n, current, effective_size(n), measure_all(state)))
         if n < n_steps:
             current = advance(current)
     return RGTrajectory(model.name, params, tuple(steps))
@@ -80,7 +78,7 @@ def iterate(params, n_steps: int, cap: int | None = ITERATION_CAP) -> RGTrajecto
 
 @dataclass(frozen=True, eq=False)
 class SweepTable:
-    """Rectangular sweep result: values[iteration_index, grid_index, measure_index]."""
+    """Sweep result: values[iteration, grid point, measure] and couplings[iteration, grid point]."""
 
     model: str
     axis: str
@@ -88,6 +86,7 @@ class SweepTable:
     iterations: tuple[int, ...]
     measures: tuple[str, ...]
     values: np.ndarray
+    couplings: np.ndarray
 
 
 def sweep(
@@ -134,13 +133,15 @@ def sweep(
     grid = np.linspace(float(lo), float(hi), int(points))
     funcs = [MEASURE_FUNCS[m] for m in chosen]
     values = np.empty((len(its), len(grid), len(chosen)))
+    couplings = np.empty((len(its), len(grid)))
     wanted = {n: row for row, n in enumerate(its)}
     for col, axis_value in enumerate(grid):
-        params = entry.params(1.0, entry.coupling_of_axis(float(axis_value)))
+        j, coupling = 1.0, entry.coupling_of_axis(float(axis_value))
         for n in range(its[-1] + 1):
             if n in wanted:
-                state = entry.edge_state(params)
+                couplings[wanted[n], col] = coupling
+                state = entry.edge_state(coupling)
                 values[wanted[n], col, :] = [f(state) for f in funcs]
             if n < its[-1]:
-                params = advance(params)
-    return SweepTable(model, axis, grid, tuple(its), chosen, values)
+                j, coupling = _snapped_step(entry, j, coupling)
+    return SweepTable(model, axis, grid, tuple(its), chosen, values, couplings)

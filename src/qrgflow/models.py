@@ -40,9 +40,9 @@ class XXZParams:
     delta: float
 
     def __post_init__(self):
-        if not np.isfinite(self.j) or self.j < 0.0:
+        if not math.isfinite(self.j) or self.j < 0.0:
             raise DomainError(f"exchange coupling must be finite and >= 0, got {self.j}")
-        if np.isnan(self.delta) or self.delta < 0.0:
+        if math.isnan(self.delta) or self.delta < 0.0:
             raise DomainError(f"anisotropy must be >= 0, got {self.delta}")
 
 
@@ -54,7 +54,7 @@ class XYParams:
     gamma: float
 
     def __post_init__(self):
-        if not np.isfinite(self.j) or self.j < 0.0:
+        if not math.isfinite(self.j) or self.j < 0.0:
             raise DomainError(f"exchange coupling must be finite and >= 0, got {self.j}")
         if not abs(self.gamma) <= 1.0:
             raise DomainError(f"anisotropy must satisfy |gamma| <= 1, got {self.gamma}")
@@ -83,13 +83,13 @@ def q_of_delta(delta: float) -> float:
     return -0.5 * (delta + math.sqrt(delta * delta + 8.0))
 
 
-def xxz_rg_step(params: XXZParams) -> XXZParams:
+def xxz_rg_step(j: float, delta: float) -> tuple[float, float]:
     """One coupling-map step J' = J (2q/(2+q^2))^2, delta' = delta q^2/4."""
-    q = q_of_delta(params.delta)
+    q = q_of_delta(delta)
     q2 = q * q
     # 4 q^2/(2+q^2)^2 rewritten to survive q2 = inf
     j_factor = 4.0 / (q2 + 4.0 + 4.0 / q2)
-    return XXZParams(params.j * j_factor, params.delta * q2 / 4.0)
+    return j * j_factor, delta * q2 / 4.0
 
 
 def xxz_ground_states(delta: float) -> tuple[BlockState8, BlockState8]:
@@ -120,14 +120,13 @@ def xxz_rho13(delta: float) -> XState:
     return XState(d1, w, w, 0.0, 0.0, w)
 
 
-def xy_rg_step(params: XYParams) -> XYParams:
+def xy_rg_step(j: float, gamma: float) -> tuple[float, float]:
     """One coupling-map step J' = J (3g^2+1)/(2(1+g^2)), g' = (g^3+3g)/(3g^2+1)."""
-    g = params.gamma
-    g2 = g * g
-    j_next = params.j * (3.0 * g2 + 1.0) / (2.0 * (1.0 + g2))
-    g_next = (g * g2 + 3.0 * g) / (3.0 * g2 + 1.0)
+    g2 = gamma * gamma
+    j_next = j * (3.0 * g2 + 1.0) / (2.0 * (1.0 + g2))
+    g_next = (gamma * g2 + 3.0 * gamma) / (3.0 * g2 + 1.0)
     # the exact map never leaves [-1, 1]; clamp rounding overshoot near +-1
-    return XYParams(j_next, max(-1.0, min(1.0, g_next)))
+    return j_next, max(-1.0, min(1.0, g_next))
 
 
 def xy_ground_states(gamma: float) -> tuple[BlockState8, BlockState8]:
@@ -194,8 +193,9 @@ def _xy_slope(gamma: float) -> float:
 class Model:
     """One chain: its couplings, coupling map, block states and plotting axis.
 
-    The callables take the model's params, except ``coupling_of_axis`` (axis
-    value -> coupling) and ``slope`` and ``bell_strict`` (coupling value).
+    ``step`` maps floats (j, coupling) to (j', coupling'); ``edge_state`` and ``slope`` take a
+    coupling, ``bell_strict`` an array of couplings, ``coupling_of_axis`` an axis value,
+    and ``ground_states``, ``bond`` and ``energy`` the params.
     They call the module-level functions through their names, so a wrapper
     installed on this module (a profiler, a test double) sees every call.
     """
@@ -208,9 +208,9 @@ class Model:
     axis_range: tuple[float, float]  # default sweep range
     coupling_range: tuple[float, float]  # couplings sampled by the block checks
     fixed_points: tuple[float, ...]
-    step: Callable
+    step: Callable[[float, float], tuple[float, float]]
     slope: Callable[[float], float]  # exact derivative of the coupling map
-    edge_state: Callable
+    edge_state: Callable[[float], XState]
     ground_states: Callable
     bond: Callable  # two-site bond Hamiltonian, J/4 prefactor included
     energy: Callable
@@ -227,9 +227,9 @@ _ENTRIES = (
         axis_range=(0.0, 2.5),
         coupling_range=(0.0, 2.5),
         fixed_points=(0.0, 1.0),
-        step=lambda p: xxz_rg_step(p),
+        step=lambda j, delta: xxz_rg_step(j, delta),
         slope=_xxz_slope,
-        edge_state=lambda p: xxz_rho13(p.delta),
+        edge_state=lambda delta: xxz_rho13(delta),
         ground_states=lambda p: xxz_ground_states(p.delta),
         bond=lambda p: p.j / 4.0 * (_XX + _YY + p.delta * _ZZ),
         energy=lambda p: p.j * q_of_delta(p.delta) / 2.0,
@@ -245,9 +245,9 @@ _ENTRIES = (
         axis_range=(0.0, 3.0),
         coupling_range=(-1.0, 1.0),
         fixed_points=(-1.0, 0.0, 1.0),
-        step=lambda p: xy_rg_step(p),
+        step=lambda j, gamma: xy_rg_step(j, gamma),
         slope=_xy_slope,
-        edge_state=lambda p: xy_rho13(p.gamma),
+        edge_state=lambda gamma: xy_rho13(gamma),
         ground_states=lambda p: xy_ground_states(p.gamma),
         bond=lambda p: p.j / 4.0 * ((1.0 + p.gamma) * _XX + (1.0 - p.gamma) * _YY),
         energy=lambda p: -p.j * np.sqrt(2.0 * (1.0 + p.gamma ** 2)) / 2.0,
@@ -300,4 +300,5 @@ def ground_states(params) -> tuple[BlockState8, BlockState8]:
 
 def reduced_state(params) -> XState:
     """Edge-pair state of the first ground ket after tracing the middle site."""
-    return model_of(params).edge_state(params)
+    model = model_of(params)
+    return model.edge_state(getattr(params, model.coupling))

@@ -110,8 +110,8 @@ def loglog_fit(points) -> ScalingFit:
     pts = [(float(n), float(v)) for n, v in points]
     if len(pts) < 3:
         raise DomainError(f"need at least 3 points for a fit, got {len(pts)}")
-    if any(n <= 0.0 or v <= 0.0 for n, v in pts):
-        raise NonPositiveValue(f"log-log fit requires positive data, got {pts}")
+    if not all(0.0 < n < np.inf and 0.0 < v < np.inf for n, v in pts):
+        raise NonPositiveValue(f"log-log fit requires finite positive data, got {pts}")
     ln_n = np.log([n for n, _ in pts])
     ln_v = np.log([v for _, v in pts])
     slope, intercept = np.polyfit(ln_n, ln_v, 1)
@@ -145,6 +145,8 @@ def derivative_extremum(
     """
     if refine_passes < 0:
         raise DomainError(f"refine_passes must be >= 0, got {refine_passes}")
+    if not np.isfinite(critical):
+        raise DomainError(f"critical point must be finite, got {critical}")
     axis = get_model(model).axis
 
     def locate(a: float, b: float) -> tuple[float, float]:

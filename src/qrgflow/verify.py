@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .flow import advance, sweep
+from .flow import sweep
 from .measures import chsh_max, discord_optimal, discord_sigma_z, measure_all, mid
 from .models import MODELS, block_hamiltonian, ground_energy, ground_states, reduced_state
 from .oracle import brute_force_chsh, brute_force_discord, diag_symmetric, partial_trace_mid
@@ -155,13 +155,9 @@ def check_bell_bound(points: int = 500, max_iteration: int = 6) -> CheckResult:
                       measures=["chsh_max"])
         vals = table.values[:, :, 0]
         overall = max(overall, float(vals.max()))
-        flowed = [model.params(1.0, model.coupling_of_axis(float(x))) for x in table.grid]
-        for i in iterations:
-            if i:
-                flowed = [advance(p) for p in flowed]
-            inside = np.array([model.bell_strict(getattr(p, model.coupling)) for p in flowed])
-            if inside.any():
-                strict = max(strict, float(vals[i, inside].max()))
+        inside = model.bell_strict(table.couplings)
+        if inside.any():
+            strict = max(strict, float(vals[inside].max()))
 
     ok = overall <= 2.0 + 1e-12 and strict < 2.0 - 1e-9
     return CheckResult(
@@ -262,6 +258,8 @@ def run_all(
     _require_samples(oracle_states=oracle_states, random_states=random_states,
                      params_per_model=params_per_model, sweep_points=sweep_points,
                      jacobi_matrices=jacobi_matrices)
+    if seed < 0:
+        raise DomainError(f"seed must be >= 0, got {seed}")
     results = [
         check_bloch_round_trip(states=max(1, random_states // 5), seed=seed),
         check_spectrum_oracle(states=max(1, random_states // 20), seed=seed),

@@ -13,6 +13,7 @@ local unitary and are stripped at ingestion, so all downstream algebra is real.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,7 +36,7 @@ class XState:
 
     def __post_init__(self):
         d = (self.d1, self.d2, self.d3, self.d4)
-        if any(not np.isfinite(x) for x in d + (self.a, self.b)):
+        if any(not math.isfinite(x) for x in d + (self.a, self.b)):
             raise NotDensityMatrix("non-finite entry in X-state parameters")
         if min(d) < -VALIDATION_TOL:
             raise NotDensityMatrix(f"negative diagonal weight {min(d)}")

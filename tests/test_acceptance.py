@@ -17,7 +17,6 @@ import pytest
 from qrgflow import (
     MEASURE_NAMES,
     XXZParams,
-    XYParams,
     brute_force_chsh,
     brute_force_discord,
     chsh_max,
@@ -115,7 +114,7 @@ def test_criterion_04_bell_bound_on_default_sweeps():
         for i, _n in enumerate(xy.iterations):
             if abs(gamma) < 0.999:
                 strict_worst = max(strict_worst, float(xy.values[i, j, 0]))
-            gamma = xy_rg_step(XYParams(1.0, gamma)).gamma
+            gamma = xy_rg_step(1.0, gamma)[1]
 
     assert worst <= 2.0 + 1e-12
     assert strict_worst < 2.0 - 1e-9

@@ -174,6 +174,13 @@ def test_verify_rejects_empty_samples(counts, capsys):
     assert "checks passed" not in captured.out
 
 
+def test_verify_rejects_negative_seed(capsys):
+    assert run(["verify", "--seed", "-1"]) == 2
+    captured = capsys.readouterr()
+    assert "error:" in captured.err and "seed" in captured.err
+    assert "checks passed" not in captured.out
+
+
 def test_out_naming_a_file_exits_2(tmp_path, capsys):
     # a regular file, since permission bits do not stop a root user
     target = tmp_path / "taken"
@@ -195,6 +202,17 @@ def test_scaling_rejects_negative_refine_passes(tmp_path, capsys):
     ])
     assert rc == 2
     assert "refine_passes" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("critical", ["nan", "inf"])
+def test_scaling_rejects_non_finite_critical(critical, tmp_path, capsys):
+    rc = run([
+        "scaling", "--model", "xy", "--points", "101", "--iterations", "2..4",
+        "--critical", critical, "--out", str(tmp_path),
+    ])
+    assert rc == 2
+    assert "critical point must be finite" in capsys.readouterr().err
     assert not list(tmp_path.iterdir())
 
 

@@ -5,6 +5,7 @@ import pytest
 
 from qrgflow import (
     ITERATION_CAP,
+    MODELS,
     DomainError,
     XXZParams,
     XYParams,
@@ -105,6 +106,21 @@ def test_sweep_values_match_iterated_states():
         assert table.values[1, j, 0] == pytest.approx(
             traj.steps[3].measures.chsh_max, abs=1e-15
         )
+    # The float flow of sweep matches the record flow of iterate bit for bit at
+    # every depth.  The grids hold the fixed points delta = 0, 1 and g = 0, 1,
+    # XY starts g >= 19 that snap onto gamma = 1, and the Neel start
+    # delta = 2.5, which reaches 2.2e122 at n = 6.
+    for name, lo, hi, points in (("xxz", 0.0, 2.5, 11), ("xy", 0.0, 19.0, 20)):
+        model = MODELS[name]
+        table = sweep(name, model.axis, lo, hi, points, range(7), measures=["chsh_max"])
+        for j, axis_value in enumerate(table.grid):
+            start = model.params(1.0, model.coupling_of_axis(float(axis_value)))
+            traj = iterate(start, 6)
+            for i, step in enumerate(traj.steps):
+                flowed = getattr(step.params, model.coupling)
+                assert table.couplings[i, j].hex() == flowed.hex()
+                assert table.values[i, j, 0] == step.measures.chsh_max
+    assert table.couplings[-1, -1] == 1.0
 
 
 def test_sweep_xy_axis_is_plotting_variable():

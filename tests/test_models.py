@@ -37,36 +37,34 @@ def test_q_values():
 
 
 def test_xxz_step_at_special_points():
-    step1 = xxz_rg_step(XXZParams(1.0, 1.0))
-    assert step1.delta == pytest.approx(1.0, abs=1e-15)  # q^2/4 = 1
-    assert step1.j == pytest.approx(4.0 / 9.0, abs=1e-15)
-    step0 = xxz_rg_step(XXZParams(2.0, 0.0))
-    assert step0.delta == 0.0
-    assert step0.j == pytest.approx(1.0, abs=1e-15)  # factor 1/2 at q^2 = 2
+    j1, delta1 = xxz_rg_step(1.0, 1.0)
+    assert delta1 == pytest.approx(1.0, abs=1e-15)  # q^2/4 = 1
+    assert j1 == pytest.approx(4.0 / 9.0, abs=1e-15)
+    j0, delta0 = xxz_rg_step(2.0, 0.0)
+    assert delta0 == 0.0
+    assert j0 == pytest.approx(1.0, abs=1e-15)  # factor 1/2 at q^2 = 2
 
 
 def test_xxz_step_survives_divergent_coupling():
-    step = xxz_rg_step(XXZParams(0.5, float("inf")))
-    assert step.delta == float("inf")
-    assert step.j == 0.0
+    j, delta = xxz_rg_step(0.5, float("inf"))
+    assert delta == float("inf")
+    assert j == 0.0
 
 
 def test_xy_step_at_special_points():
-    assert xy_rg_step(XYParams(1.0, 0.0)).gamma == 0.0
-    assert xy_rg_step(XYParams(1.0, 0.0)).j == pytest.approx(0.5, abs=1e-15)
-    assert xy_rg_step(XYParams(1.0, 1.0)).gamma == 1.0
-    assert xy_rg_step(XYParams(1.0, -1.0)).gamma == -1.0
-    mid_step = xy_rg_step(XYParams(1.0, 0.5))
-    assert mid_step.gamma == pytest.approx(1.625 / 1.75, abs=1e-15)
+    assert xy_rg_step(1.0, 0.0)[1] == 0.0
+    assert xy_rg_step(1.0, 0.0)[0] == pytest.approx(0.5, abs=1e-15)
+    assert xy_rg_step(1.0, 1.0)[1] == 1.0
+    assert xy_rg_step(1.0, -1.0)[1] == -1.0
+    assert xy_rg_step(1.0, 0.5)[1] == pytest.approx(1.625 / 1.75, abs=1e-15)
 
 
 def test_xy_step_stays_in_domain():
     # repeated mapping from any start must never leave |gamma| <= 1
-    gamma = 1.0 / 3.0
-    params = XYParams(1.0, gamma)
+    j, gamma = 1.0, 1.0 / 3.0
     for _ in range(60):
-        params = xy_rg_step(params)
-        assert abs(params.gamma) <= 1.0
+        j, gamma = xy_rg_step(j, gamma)
+        assert abs(gamma) <= 1.0
 
 
 def test_param_validation():
@@ -95,15 +93,15 @@ def test_fixed_point_stability():
 def test_map_slopes_at_fixed_points():
     # |d delta'/d delta| at 0 and 1: 1/2 (attracting) and 5/3 (repelling)
     h = 1e-7
-    slope0 = (xxz_rg_step(XXZParams(1.0, h)).delta - 0.0) / h
+    slope0 = (xxz_rg_step(1.0, h)[1] - 0.0) / h
     assert slope0 == pytest.approx(0.5, abs=1e-6)
     slope1 = (
-        xxz_rg_step(XXZParams(1.0, 1.0 + h)).delta
-        - xxz_rg_step(XXZParams(1.0, 1.0 - h)).delta
+        xxz_rg_step(1.0, 1.0 + h)[1]
+        - xxz_rg_step(1.0, 1.0 - h)[1]
     ) / (2 * h)
     assert slope1 == pytest.approx(5.0 / 3.0, abs=1e-6)
     # XY slope at gamma = 0 is 3
-    slope_g = (xy_rg_step(XYParams(1.0, h)).gamma - xy_rg_step(XYParams(1.0, -h)).gamma) / (2 * h)
+    slope_g = (xy_rg_step(1.0, h)[1] - xy_rg_step(1.0, -h)[1]) / (2 * h)
     assert slope_g == pytest.approx(3.0, abs=1e-6)
 
 
@@ -115,8 +113,8 @@ def test_exact_map_slope_matches_central_difference(name, points):
     model = MODELS[name]
     h = 1e-6
     for c in points:
-        up = getattr(model.step(model.params(1.0, c + h)), model.coupling)
-        down = getattr(model.step(model.params(1.0, c - h)), model.coupling)
+        up = model.step(1.0, c + h)[1]
+        down = model.step(1.0, c - h)[1]
         assert model.slope(c) == pytest.approx((up - down) / (2.0 * h), rel=1e-7, abs=1e-8)
 
 

@@ -85,6 +85,11 @@ def test_loglog_fit_validation():
         loglog_fit([(1.0, 1.0), (2.0, 0.0), (3.0, 3.0)])
     with pytest.raises(NonPositiveValue):
         loglog_fit([(-1.0, 1.0), (2.0, 2.0), (3.0, 3.0)])
+    for bad in (float("nan"), float("inf")):
+        with pytest.raises(NonPositiveValue):
+            loglog_fit([(27.0, bad), (81.0, 1.0), (243.0, 2.0)])
+        with pytest.raises(NonPositiveValue):
+            loglog_fit([(bad, 1.0), (81.0, 1.0), (243.0, 2.0)])
 
 
 def test_derivative_extremum_moves_toward_critical():
