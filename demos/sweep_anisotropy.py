@@ -24,7 +24,7 @@ def parse_args():
 
 def main():
     args = parse_args()
-    table = sweep("xxz", "delta", args.lo, args.hi, args.points,
+    table = sweep("xxz", args.lo, args.hi, args.points,
                   args.iterations, measures=(args.measure,))
 
     header = "delta   " + "  ".join(f"n={n:<2d} (N={3 ** (n + 1)})" for n in table.iterations)

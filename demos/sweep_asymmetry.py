@@ -23,7 +23,7 @@ def parse_args():
 
 def main():
     args = parse_args()
-    table = sweep("xy", "g", args.lo, args.hi, args.points,
+    table = sweep("xy", args.lo, args.hi, args.points,
                   args.iterations, measures=(args.measure,))
 
     print(f"{args.measure} across the coupling-ratio axis")

@@ -29,7 +29,6 @@ from .measures import (
     discord_sigma_z,
     geometric_discord,
     measure_all,
-    measure_set_values,
     mid,
     min_nonlocality,
     mutual_information,

@@ -8,20 +8,12 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import astuple
 from pathlib import Path
 
-from .errors import (
-    DomainError,
-    ExtremumAtBoundary,
-    InvalidDistribution,
-    NonPositiveValue,
-    NonUniformGrid,
-    NotDensityMatrix,
-    NotSymmetric,
-    NotXStructured,
-)
+from .errors import DomainError, QrgError
 from .flow import effective_size, iterate, sweep
-from .measures import MEASURE_NAMES, measure_set_values
+from .measures import MEASURE_NAMES
 from .models import MODELS, fixed_points
 from .scaling import loglog_fit, scaling_report
 from .verify import run_all
@@ -29,18 +21,8 @@ from .verify import run_all
 CONFIG_EXIT = 2
 NUMERIC_EXIT = 3
 
-_NUMERIC_ERRORS = (
-    ExtremumAtBoundary,
-    NonUniformGrid,
-    NonPositiveValue,
-    NotSymmetric,
-    NotDensityMatrix,
-    NotXStructured,
-    InvalidDistribution,
-    FloatingPointError,
-    OverflowError,
-    RuntimeError,
-)
+# main catches DomainError (a bad input, CONFIG_EXIT) before these.
+_NUMERIC_ERRORS = (QrgError, FloatingPointError, OverflowError, RuntimeError)
 
 
 def fmt(value: float) -> str:
@@ -143,11 +125,11 @@ def _scaling_plot_lines(csvname: str, critical: float):
 
 def _cmd_sweep(args) -> int:
     model = args.model
-    axis = args.axis or MODELS[model].axis
+    axis = MODELS[model].axis
     lo, hi = args.range if args.range is not None else MODELS[model].axis_range
     iterations = args.iterations if args.iterations is not None else list(range(7))
     measures = args.measures if args.measures is not None else list(MEASURE_NAMES)
-    table = sweep(model, axis, lo, hi, args.points, iterations, measures=measures)
+    table = sweep(model, lo, hi, args.points, iterations, measures=measures)
     out = _out_dir(args)
     csv_path = out / f"sweep_{model}.csv"
     lines = [",".join([axis, "iteration", "N"] + measures)]
@@ -173,7 +155,7 @@ def _cmd_flow(args) -> int:
     csv_path = out / f"flow_{model.name}.csv"
     lines = [",".join(["n", "N", model.coupling, "J"] + measures)]
     for step in trajectory.steps:
-        values = dict(zip(MEASURE_NAMES, measure_set_values(step.measures)))
+        values = dict(zip(MEASURE_NAMES, astuple(step.measures)))
         fields = [str(step.n), str(step.size), fmt(getattr(step.params, model.coupling))]
         fields += [fmt(step.params.j)] + [fmt(values[m]) for m in measures]
         lines.append(",".join(fields))
@@ -287,12 +269,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sweep_p.add_argument("--model", choices=tuple(MODELS), required=True)
     sweep_p.add_argument(
-        "--axis", choices=tuple(model.axis for model in MODELS.values()), default=None,
-        help="plotting axis (default: delta for xxz, g for xy)",
-    )
-    sweep_p.add_argument(
         "--range", type=_parse_range, default=None, metavar="LO:HI",
-        help="axis range (default 0:2.5 for xxz, 0:3 for xy)",
+        help="range of the model's axis, delta for xxz and g for xy (default 0:2.5 and 0:3)",
     )
     sweep_p.add_argument("--points", type=int, default=500)
     sweep_p.add_argument(

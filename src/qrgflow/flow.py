@@ -89,28 +89,17 @@ class SweepTable:
     couplings: np.ndarray
 
 
-def sweep(
-    model: str,
-    axis: str,
-    lo: float,
-    hi: float,
-    points: int,
-    iterations,
-    measures=None,
-    cap: int | None = ITERATION_CAP,
-) -> SweepTable:
+def sweep(model: str, lo: float, hi: float, points: int, iterations, measures=None) -> SweepTable:
     """Measure curves over a parameter grid for a set of iteration depths.
 
-    XXZ sweeps run over the anisotropy axis 'delta'; XY sweeps run over the
-    plotting variable 'g' (converted to gamma internally).
+    The grid runs over the model's plotting axis: the anisotropy 'delta' for
+    XXZ, the coupling ratio 'g' for XY (converted to gamma internally).
     """
     entry = get_model(model)
-    if axis != entry.axis:
-        raise DomainError(f"model {model!r} sweeps over axis {entry.axis!r}, got {axis!r}")
     if not (np.isfinite(lo) and np.isfinite(hi)) or not lo < hi:
         raise DomainError(f"need finite lo < hi, got [{lo}, {hi}]")
     if lo < 0.0:
-        raise DomainError(f"axis {axis!r} requires values >= 0, got lo = {lo}")
+        raise DomainError(f"axis {entry.axis!r} requires values >= 0, got lo = {lo}")
     if not isinstance(points, (int, np.integer)) or isinstance(points, bool) or points < 2:
         raise DomainError(f"need at least 2 grid points, got {points!r}")
     its = sorted({int(n) for n in iterations})
@@ -118,8 +107,8 @@ def sweep(
         raise DomainError("need at least one iteration index")
     if its[0] < 0:
         raise DomainError(f"iteration indices must be >= 0, got {its[0]}")
-    if cap is not None and its[-1] > cap:
-        raise DomainError(f"iteration {its[-1]} exceeds the iteration cap {cap}")
+    if its[-1] > ITERATION_CAP:
+        raise DomainError(f"iteration {its[-1]} exceeds the iteration cap {ITERATION_CAP}")
     if measures is None:
         chosen = MEASURE_NAMES
     else:
@@ -144,4 +133,4 @@ def sweep(
                 values[wanted[n], col, :] = [f(state) for f in funcs]
             if n < its[-1]:
                 j, coupling = _snapped_step(entry, j, coupling)
-    return SweepTable(model, axis, grid, tuple(its), chosen, values, couplings)
+    return SweepTable(model, entry.axis, grid, tuple(its), chosen, values, couplings)

@@ -7,7 +7,7 @@ Pauli measurement is sure to be optimal (Lu et al., PRA 83, 012327 (2011)).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from math import cos, log2, pi, sin, sqrt
 
 from .errors import DomainError, InvalidDistribution
@@ -16,38 +16,16 @@ from .xstate import XState, marginal_a, marginal_b, spectrum, to_bloch
 # Condition number of the entropy differences stays ~1, so exact-zero
 # measures can round to ~-1e-16; anything worse is a real sign error.
 _NEG_CLIP = 1e-9
+# Input slack of the two public entropies; their guards are written
+# `not lo <= x <= hi` so that NaN fails them.
+_DISTRIBUTION_TOL = 1e-9
+_MIX_TOL = 1e-12
 
 
 def _clip_tiny(value: float) -> float:
     if -_NEG_CLIP < value < 0.0:
         return 0.0
     return value
-
-
-def shannon_entropy(p, tol: float = 1e-9) -> float:
-    """Shannon entropy in bits of a probability vector."""
-    p = [float(x) for x in p]
-    if any(x < -tol or x > 1.0 + tol for x in p):
-        raise InvalidDistribution(f"entry outside [0, 1]: {p}")
-    if abs(sum(p) - 1.0) > tol:
-        raise InvalidDistribution(f"probabilities sum to {sum(p)}, not 1")
-    total = 0.0
-    for x in p:
-        if x > 0.0:
-            total -= x * log2(min(x, 1.0))
-    return total
-
-
-def binary_mix_entropy(z: float, tol: float = 1e-12) -> float:
-    """Entropy of the pair (1 +- sqrt(z))/2; decreasing from 1 at z=0 to 0 at z=1."""
-    if z < -tol or z > 1.0 + tol:
-        raise DomainError(f"binary_mix_entropy argument {z} outside [0, 1]")
-    r = sqrt(min(max(z, 0.0), 1.0))
-    total = 0.0
-    for x in ((1.0 + r) / 2.0, (1.0 - r) / 2.0):
-        if x > 0.0:
-            total -= x * log2(x)
-    return total
 
 
 def _entropy_of(values) -> float:
@@ -58,13 +36,30 @@ def _entropy_of(values) -> float:
     return total
 
 
+def shannon_entropy(p) -> float:
+    """Shannon entropy in bits of a probability vector."""
+    p = [float(x) for x in p]
+    if not all(-_DISTRIBUTION_TOL <= x <= 1.0 + _DISTRIBUTION_TOL for x in p):
+        raise InvalidDistribution(f"entry outside [0, 1]: {p}")
+    if not abs(sum(p) - 1.0) <= _DISTRIBUTION_TOL:
+        raise InvalidDistribution(f"probabilities sum to {sum(p)}, not 1")
+    return _entropy_of(p)
+
+
+def binary_mix_entropy(z: float) -> float:
+    """Entropy of the pair (1 +- sqrt(z))/2; decreasing from 1 at z=0 to 0 at z=1."""
+    if not -_MIX_TOL <= z <= 1.0 + _MIX_TOL:
+        raise DomainError(f"binary_mix_entropy argument {z} outside [0, 1]")
+    r = sqrt(min(max(z, 0.0), 1.0))
+    return _entropy_of(((1.0 + r) / 2.0, (1.0 - r) / 2.0))
+
+
 def _state_entropy(s: XState) -> float:
     return _entropy_of(spectrum(s))
 
 
 def _marginal_entropy(s: XState, side: str) -> float:
-    marg = marginal_a(s) if side == "a" else marginal_b(s)
-    return _entropy_of((marg.p0, marg.p1))
+    return _entropy_of(marginal_a(s) if side == "a" else marginal_b(s))
 
 
 def concurrence(s: XState) -> float:
@@ -277,7 +272,3 @@ def measure_all(s: XState) -> MeasureSet:
     """Evaluate every measure on one state (measurements on side A)."""
     values = [MEASURE_FUNCS[name](s) for name in MEASURE_NAMES]
     return MeasureSet(*values)
-
-
-def measure_set_values(ms: MeasureSet) -> tuple[float, ...]:
-    return tuple(getattr(ms, f.name) for f in fields(MeasureSet))

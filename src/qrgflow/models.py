@@ -123,7 +123,8 @@ def xxz_rho13(delta: float) -> XState:
 def xy_rg_step(j: float, gamma: float) -> tuple[float, float]:
     """One coupling-map step J' = J (3g^2+1)/(2(1+g^2)), g' = (g^3+3g)/(3g^2+1)."""
     g2 = gamma * gamma
-    j_next = j * (3.0 * g2 + 1.0) / (2.0 * (1.0 + g2))
+    # the factor is <= 1 for |g| <= 1, so taking it first keeps a J near the float maximum finite
+    j_next = j * ((3.0 * g2 + 1.0) / (2.0 * (1.0 + g2)))
     g_next = (gamma * g2 + 3.0 * gamma) / (3.0 * g2 + 1.0)
     # the exact map never leaves [-1, 1]; clamp rounding overshoot near +-1
     return j_next, max(-1.0, min(1.0, g_next))

@@ -19,6 +19,8 @@ from .errors import NotSymmetric
 from .xstate import XState, xstate_to_matrix
 
 _LN2 = np.log(2.0)
+_JACOBI_TOL = 1e-12  # off-diagonal Frobenius norm at which a Jacobi solve stops
+_DISCORD_COARSE = 90  # polar samples of the discord search; azimuth gets twice as many
 
 _PAULIS = np.array([
     [[1.0, 0.0], [0.0, 1.0]],
@@ -38,19 +40,11 @@ class EigenDecomposition:
     eigenvectors: np.ndarray
 
 
-@dataclass(frozen=True)
-class MeasurementDirection:
-    """Projective measurement axis on the Bloch sphere."""
-
-    theta: float
-    phi: float
-
-
-def diag_symmetric(m, tol: float = 1e-12, max_sweeps: int = 100) -> EigenDecomposition:
+def diag_symmetric(m, max_sweeps: int = 100) -> EigenDecomposition:
     """Cyclic Jacobi diagonalization of a small real symmetric matrix.
 
     Sweeps Givens rotations over all (p, q) pairs until the off-diagonal
-    Frobenius norm drops below tol.  Quadratically convergent; intended for
+    Frobenius norm drops below 1e-12.  Quadratically convergent; intended for
     n <= 8 blocks where a hand-rolled solver stays trivially auditable.  The
     rotations run on Python float lists: at this size numpy's per-call
     overhead would cost more than the arithmetic.
@@ -58,16 +52,16 @@ def diag_symmetric(m, tol: float = 1e-12, max_sweeps: int = 100) -> EigenDecompo
     a = np.array(m, dtype=float, copy=True)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise NotSymmetric(f"expected a square matrix, got shape {a.shape}")
-    if np.abs(a - a.T).max() > 1e-10:
+    if not np.abs(a - a.T).max() <= 1e-10:  # NaN fails it too
         raise NotSymmetric("matrix is not symmetric within 1e-10")
     n = a.shape[0]
     rows = a.tolist()
     vt = np.eye(n).tolist()  # vt[k] is eigenvector column k
-    skip = tol / (n * n)
+    skip = _JACOBI_TOL / (n * n)
     for _ in range(max_sweeps):
         off = math.sqrt(sum(x * x for i, row in enumerate(rows)
                             for j, x in enumerate(row) if i != j))
-        if off < tol:
+        if off < _JACOBI_TOL:
             break
         for p in range(n - 1):
             for q in range(p + 1, n):
@@ -145,18 +139,13 @@ def _avg_conditional_entropy(coeffs, theta, phi):
     return total / _LN2
 
 
-def brute_force_discord(
-    s: XState,
-    side: str = "a",
-    coarse: int = 90,
-    refine_iters: int = 4,
-) -> tuple[float, MeasurementDirection]:
+def brute_force_discord(s: XState, side: str = "a") -> tuple[float, tuple[float, float]]:
     """Quantum discord by direct minimization over projective measurements.
 
-    Coarse theta x phi grid (coarse x 2*coarse over the antipodal-reduced
-    hemisphere) followed by refine_iters local re-grids shrinking the window
-    by a factor of 10 each pass.  Returns the discord value and the optimal
-    measurement direction.
+    Coarse 90 x 180 theta x phi grid over the antipodal-reduced hemisphere,
+    followed by 4 local 19 x 19 re-grids shrinking the window by a factor of
+    10 each pass.  Returns the discord value and the optimal measurement axis
+    as (theta, phi).
     """
     rho = xstate_to_matrix(s)
     coeffs = _conditional_coefficients(rho, side)
@@ -165,13 +154,13 @@ def brute_force_discord(
     s_meas = _entropy_bits([coeffs[0, 0] + radius, coeffs[0, 0] - radius])
     s_ab = _entropy_bits(diag_symmetric(rho).eigenvalues)
 
-    theta = np.linspace(0.0, np.pi / 2.0, coarse)
-    phi = np.linspace(0.0, 2.0 * np.pi, 2 * coarse, endpoint=False)
+    theta = np.linspace(0.0, np.pi / 2.0, _DISCORD_COARSE)
+    phi = np.linspace(0.0, 2.0 * np.pi, 2 * _DISCORD_COARSE, endpoint=False)
     grid = _avg_conditional_entropy(coeffs, theta[:, None], phi)
     i, j = np.unravel_index(int(np.argmin(grid)), grid.shape)
     best_t, best_p, best = float(theta[i]), float(phi[j]), float(grid[i, j])
     win_t, win_p = theta[1] - theta[0], phi[1] - phi[0]
-    for _ in range(refine_iters):
+    for _ in range(4):
         theta = np.linspace(best_t - win_t, best_t + win_t, 19)
         phi = np.linspace(best_p - win_p, best_p + win_p, 19)
         grid = _avg_conditional_entropy(coeffs, theta[:, None], phi)
@@ -182,8 +171,7 @@ def brute_force_discord(
         win_p /= 10.0
     if best_t < 0.0:  # (-theta, phi) names the same axis as (theta, phi + pi)
         best_t, best_p = -best_t, best_p + np.pi
-    direction = MeasurementDirection(best_t, best_p % (2.0 * np.pi))
-    return s_meas - s_ab + best, direction
+    return s_meas - s_ab + best, (best_t, best_p % (2.0 * np.pi))
 
 
 def brute_force_chsh(s: XState) -> float:

@@ -20,19 +20,16 @@ from .errors import (
 )
 from .flow import effective_size, sweep
 from .measures import MEASURE_FUNCS
-from .models import get_model
 
 CRITICAL_POINT = 1.0  # both models in their plotting variables
 
 
 @dataclass(frozen=True, eq=False)
 class DerivativeCurve:
-    """Derivative samples over a uniform grid, tagged with the iteration depth."""
+    """Derivative samples over a uniform grid."""
 
     grid: np.ndarray
     values: np.ndarray
-    iteration: int | None = None
-    size: int | None = None
 
 
 @dataclass(frozen=True)
@@ -63,7 +60,7 @@ class ScalingReport:
     position_fit: ScalingFit
 
 
-def numeric_derivative(values, grid, iteration: int | None = None) -> DerivativeCurve:
+def numeric_derivative(values, grid) -> DerivativeCurve:
     """Central differences on a uniform grid, one-sided at the two ends."""
     grid = np.asarray(grid, dtype=float)
     values = np.asarray(values, dtype=float)
@@ -76,9 +73,7 @@ def numeric_derivative(values, grid, iteration: int | None = None) -> Derivative
         raise NonUniformGrid(f"grid spacing varies by {np.abs(spacing - spacing[0]).max():.3e}")
     if spacing[0] <= 0.0:
         raise NonUniformGrid("grid must be strictly increasing")
-    deriv = np.gradient(values, spacing[0], edge_order=1)
-    size = effective_size(iteration) if iteration is not None else None
-    return DerivativeCurve(grid, deriv, iteration, size)
+    return DerivativeCurve(grid, np.gradient(values, spacing[0], edge_order=1))
 
 
 def find_extremum(curve: DerivativeCurve, kind: str = "min") -> tuple[float, float]:
@@ -147,11 +142,10 @@ def derivative_extremum(
         raise DomainError(f"refine_passes must be >= 0, got {refine_passes}")
     if not np.isfinite(critical):
         raise DomainError(f"critical point must be finite, got {critical}")
-    axis = get_model(model).axis
 
     def locate(a: float, b: float) -> tuple[float, float]:
-        table = sweep(model, axis, a, b, points, [n], measures=[measure])
-        curve = numeric_derivative(table.values[0, :, 0], table.grid, iteration=n)
+        table = sweep(model, a, b, points, [n], measures=[measure])
+        curve = numeric_derivative(table.values[0, :, 0], table.grid)
         return find_extremum(curve, kind)
 
     position, value = locate(lo, hi)

@@ -19,6 +19,8 @@ from .models import MODELS, block_hamiltonian, ground_energy, ground_states, red
 from .oracle import brute_force_chsh, brute_force_discord, diag_symmetric, partial_trace_mid
 from .xstate import XState, from_bloch, random_xstates, spectrum, to_bloch, xstate_to_matrix
 
+_ORACLE_TOL = 1e-4  # closed form vs brute-force oracle, discord and CHSH alike
+
 
 @dataclass(frozen=True)
 class CheckResult:
@@ -52,7 +54,7 @@ def check_mid_identity(states: int = 10000, seed: int = 42) -> CheckResult:
     )
 
 
-def check_discord_oracle(states: int = 500, seed: int = 42, tol: float = 1e-4) -> CheckResult:
+def check_discord_oracle(states: int = 500, seed: int = 42) -> CheckResult:
     """Brute-force measurement search vs the closed-form discord minimum."""
     _require_samples(states=states)
     worst = 0.0
@@ -63,7 +65,7 @@ def check_discord_oracle(states: int = 500, seed: int = 42, tol: float = 1e-4) -
         numeric, _ = brute_force_discord(s, side=side)
         worst = max(worst, abs(numeric - analytic))
         floor = max(floor, analytic - numeric)
-    ok = worst < tol and floor < 1e-6
+    ok = worst < _ORACLE_TOL and floor < 1e-6
     return CheckResult(
         "discord-oracle-agreement",
         ok,
@@ -72,14 +74,14 @@ def check_discord_oracle(states: int = 500, seed: int = 42, tol: float = 1e-4) -
     )
 
 
-def check_chsh_oracle(states: int = 500, seed: int = 42, tol: float = 1e-4) -> CheckResult:
+def check_chsh_oracle(states: int = 500, seed: int = 42) -> CheckResult:
     _require_samples(states=states)
     worst = 0.0
     for s in random_xstates(states, seed=seed):
         worst = max(worst, abs(brute_force_chsh(s) - chsh_max(s)))
     return CheckResult(
         "chsh-oracle-agreement",
-        worst < tol,
+        worst < _ORACLE_TOL,
         f"{states} states, max |oracle - closed| = {worst:.3e}",
     )
 
@@ -139,20 +141,18 @@ def check_ground_blocks(params_per_model: int = 50, seed: int = 42) -> CheckResu
     )
 
 
-def check_bell_bound(points: int = 500, max_iteration: int = 6) -> CheckResult:
-    """No CHSH violation anywhere on the default sweeps.
+def check_bell_bound(points: int = 500) -> CheckResult:
+    """No CHSH violation anywhere on the default sweeps, depths 0..6.
 
     The bound saturates exactly at flow sinks (isotropic limits), so the
     global check allows equality; strictly inside the attracting regions the
     bound must hold with margin.
     """
     _require_samples(points=points)
-    iterations = range(max_iteration + 1)
     overall = 0.0
     strict = 0.0
     for model in MODELS.values():
-        table = sweep(model.name, model.axis, *model.axis_range, points, iterations,
-                      measures=["chsh_max"])
+        table = sweep(model.name, *model.axis_range, points, range(7), measures=["chsh_max"])
         vals = table.values[:, :, 0]
         overall = max(overall, float(vals.max()))
         inside = model.bell_strict(table.couplings)

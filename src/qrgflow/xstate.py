@@ -69,15 +69,7 @@ class BlochX:
     t3: float
 
 
-@dataclass(frozen=True)
-class QubitMarginal:
-    """Diagonal single-qubit reduced state (p0, p1)."""
-
-    p0: float
-    p1: float
-
-
-def xstate_from_matrix(m, tol: float = 1e-10) -> XState:
+def xstate_from_matrix(m) -> XState:
     """Validate a 4x4 matrix as an X-state density matrix and extract fields.
 
     Off-pattern weight raises NotXStructured; Hermiticity, trace, or
@@ -91,12 +83,12 @@ def xstate_from_matrix(m, tol: float = 1e-10) -> XState:
     x_pattern[np.arange(4), np.arange(4)] = True
     x_pattern[0, 3] = x_pattern[3, 0] = x_pattern[1, 2] = x_pattern[2, 1] = True
     off = np.abs(m[~x_pattern])
-    if off.size and off.max() > tol:
+    if not off.max() <= VALIDATION_TOL:  # NaN fails every guard written this way
         raise NotXStructured(f"off-pattern entry of magnitude {off.max():.3e}")
-    if np.abs(m - m.conj().T).max() > tol:
+    if not np.abs(m - m.conj().T).max() <= VALIDATION_TOL:
         raise NotDensityMatrix("matrix is not Hermitian")
     trace = complex(np.trace(m))
-    if abs(trace - 1.0) > tol:
+    if not abs(trace - 1.0) <= VALIDATION_TOL:
         raise NotDensityMatrix(f"trace is {trace}, not 1")
     d1, d2, d3, d4 = (float(np.real(m[i, i])) for i in range(4))
     return XState(d1, d2, d3, d4, abs(complex(m[0, 3])), abs(complex(m[1, 2])))
@@ -149,12 +141,14 @@ def spectrum(s: XState) -> np.ndarray:
     return np.sort(vals)[::-1]
 
 
-def marginal_a(s: XState) -> QubitMarginal:
-    return QubitMarginal(s.d1 + s.d2, s.d3 + s.d4)
+def marginal_a(s: XState) -> tuple[float, float]:
+    """Diagonal (p0, p1) of qubit A's reduced state."""
+    return s.d1 + s.d2, s.d3 + s.d4
 
 
-def marginal_b(s: XState) -> QubitMarginal:
-    return QubitMarginal(s.d1 + s.d3, s.d2 + s.d4)
+def marginal_b(s: XState) -> tuple[float, float]:
+    """Diagonal (p0, p1) of qubit B's reduced state."""
+    return s.d1 + s.d3, s.d2 + s.d4
 
 
 def random_xstates(n: int, seed: int = 42) -> list[XState]:

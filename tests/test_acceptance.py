@@ -10,6 +10,7 @@ against measured timings on the reference container.
 import filecmp
 import math
 import time
+from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -26,7 +27,6 @@ from qrgflow import (
     gamma_of_g,
     iterate,
     measure_all,
-    measure_set_values,
     mid,
     random_xstates,
     scaling_report,
@@ -102,12 +102,12 @@ def test_criterion_04_bell_bound_on_default_sweeps():
     worst = 0.0
     strict_worst = 0.0
 
-    xxz = sweep("xxz", "delta", 0.0, 2.5, 500, range(7), measures=("chsh_max",))
+    xxz = sweep("xxz", 0.0, 2.5, 500, range(7), measures=("chsh_max",))
     worst = max(worst, float(xxz.values.max()))
     strict_cols = xxz.grid <= 1.0
     strict_worst = max(strict_worst, float(xxz.values[:, strict_cols, 0].max()))
 
-    xy = sweep("xy", "g", 0.0, 3.0, 500, range(7), measures=("chsh_max",))
+    xy = sweep("xy", 0.0, 3.0, 500, range(7), measures=("chsh_max",))
     worst = max(worst, float(xy.values.max()))
     for j, g in enumerate(xy.grid):
         gamma = gamma_of_g(float(g))
@@ -129,7 +129,7 @@ def test_criterion_04_bell_bound_on_default_sweeps():
 def test_criterion_05_closed_form_identities_on_grids():
     idx = {name: k for k, name in enumerate(MEASURE_NAMES)}
 
-    xxz = sweep("xxz", "delta", 0.0, 2.5, 101, range(7))
+    xxz = sweep("xxz", 0.0, 2.5, 101, range(7))
     v = xxz.values
     checks = {
         "gd = C^2/2": np.max(np.abs(v[..., idx["gd"]] - 0.5 * v[..., idx["concurrence"]] ** 2)),
@@ -138,7 +138,7 @@ def test_criterion_05_closed_form_identities_on_grids():
         "mid = C": np.max(np.abs(v[..., idx["mid"]] - v[..., idx["concurrence"]])),
     }
 
-    xy = sweep("xy", "g", 0.0, 3.0, 101, range(7))
+    xy = sweep("xy", 0.0, 3.0, 101, range(7))
     w = xy.values
     checks["gd = C/4"] = np.max(np.abs(w[..., idx["gd"]] - 0.25 * w[..., idx["concurrence"]]))
     checks["chsh = 4 sqrt(min)"] = np.max(
@@ -230,8 +230,8 @@ def test_criterion_09_bell_derivative_scaling():
 def test_criterion_10_free_fermion_isotropy_crossover():
     # The zero-asymmetry XY block and the zero-anisotropy XXZ block share
     # one reduced state, so every measure must agree to rounding.
-    a = measure_set_values(measure_all(xy_rho13(0.0)))
-    b = measure_set_values(measure_all(xxz_rho13(0.0)))
+    a = astuple(measure_all(xy_rho13(0.0)))
+    b = astuple(measure_all(xxz_rho13(0.0)))
     worst = max(abs(x - y) for x, y in zip(a, b))
     assert worst < 1e-12
     print(f"PASS criterion-10 — crossover states agree on all measures (worst {worst:.3e})")

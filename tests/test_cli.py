@@ -1,12 +1,16 @@
 """Command-line interface: files, formats, determinism, exit codes."""
 
+import os
 import re
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+from qrgflow import cli
 from qrgflow.cli import main
+from qrgflow.errors import DomainError, QrgError
 
 SCI = re.compile(r"^-?\d\.\d{11}e[+-]\d{2,3}$")  # 12 significant digits
 
@@ -91,6 +95,17 @@ def test_flow_csv(tmp_path):
     assert first[0] == "0" and first[1] == "3"
     assert first[2] == "5.00000000000e-01"
     assert first[3] == "1.00000000000e+00"
+
+
+def test_xy_flow_near_max_float_j_stays_finite(tmp_path):
+    # J' = J * factor with factor < 1 near gamma = 1, so J = 1e308 must not overflow
+    assert run([
+        "flow", "--model", "xy", "--start", "0.9", "--j", "1e308", "--steps", "2",
+        "--out", str(tmp_path), "--no-plot",
+    ]) == 0
+    rows = (tmp_path / "flow_xy.csv").read_text(encoding="utf-8").splitlines()[1:]
+    j_column = [float(row.split(",")[3]) for row in rows]
+    assert len(j_column) == 3 and all(0.0 < j < float("inf") for j in j_column)
 
 
 def test_flow_newlines_are_unix(tmp_path):
@@ -226,10 +241,21 @@ def test_numeric_failure_exit_code(tmp_path, capsys):
     assert "numeric failure:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("error", QrgError.__subclasses__(), ids=lambda cls: cls.__name__)
+def test_error_class_sets_exit_code(error, monkeypatch, capsys):
+    def failing(args):
+        raise error("stubbed")
+
+    monkeypatch.setattr(cli, "_cmd_fixed_points", failing)
+    assert run(["fixed-points"]) == (2 if error is DomainError else 3)
+    assert "stubbed" in capsys.readouterr().err
+
+
 def test_module_invocation():
     proc = subprocess.run(
         [sys.executable, "-m", "qrgflow.cli", "fixed-points", "--model", "xy"],
         capture_output=True, text=True, check=False,
+        env=dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src")),
     )
     assert proc.returncode == 0
     assert proc.stdout.splitlines()[0] == "xy gamma=-1.00000000000e+00 stable"

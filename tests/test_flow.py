@@ -89,7 +89,7 @@ def test_trajectory_measures_match_direct_evaluation():
 
 
 def test_sweep_table_shape_and_grid():
-    table = sweep("xxz", "delta", 0.0, 2.5, 11, [0, 2, 5], measures=["chsh_max", "gd"])
+    table = sweep("xxz", 0.0, 2.5, 11, [0, 2, 5], measures=["chsh_max", "gd"])
     assert table.values.shape == (3, 11, 2)
     assert table.grid[0] == 0.0 and table.grid[-1] == 2.5
     assert table.iterations == (0, 2, 5)
@@ -97,7 +97,7 @@ def test_sweep_table_shape_and_grid():
 
 
 def test_sweep_values_match_iterated_states():
-    table = sweep("xxz", "delta", 0.2, 1.4, 4, [0, 3], measures=["chsh_max"])
+    table = sweep("xxz", 0.2, 1.4, 4, [0, 3], measures=["chsh_max"])
     for j, delta in enumerate(table.grid):
         traj = iterate(XXZParams(1.0, float(delta)), 3)
         assert table.values[0, j, 0] == pytest.approx(
@@ -112,7 +112,7 @@ def test_sweep_values_match_iterated_states():
     # delta = 2.5, which reaches 2.2e122 at n = 6.
     for name, lo, hi, points in (("xxz", 0.0, 2.5, 11), ("xy", 0.0, 19.0, 20)):
         model = MODELS[name]
-        table = sweep(name, model.axis, lo, hi, points, range(7), measures=["chsh_max"])
+        table = sweep(name, lo, hi, points, range(7), measures=["chsh_max"])
         for j, axis_value in enumerate(table.grid):
             start = model.params(1.0, model.coupling_of_axis(float(axis_value)))
             traj = iterate(start, 6)
@@ -124,7 +124,8 @@ def test_sweep_values_match_iterated_states():
 
 
 def test_sweep_xy_axis_is_plotting_variable():
-    table = sweep("xy", "g", 0.5, 2.0, 4, [0], measures=["concurrence"])
+    table = sweep("xy", 0.5, 2.0, 4, [0], measures=["concurrence"])
+    assert table.axis == "g"
     for j, g in enumerate(table.grid):
         state = xy_rho13(gamma_of_g(float(g)))
         assert table.values[0, j, 0] == pytest.approx(
@@ -134,16 +135,12 @@ def test_sweep_xy_axis_is_plotting_variable():
 
 def test_sweep_validation():
     with pytest.raises(DomainError):
-        sweep("xxz", "g", 0.0, 1.0, 5, [0])  # axis belongs to the other model
+        sweep("xxz", 1.0, 1.0, 5, [0])  # empty range
     with pytest.raises(DomainError):
-        sweep("xy", "delta", 0.0, 1.0, 5, [0])
+        sweep("xxz", 0.0, 1.0, 1, [0])  # too few points
     with pytest.raises(DomainError):
-        sweep("xxz", "delta", 1.0, 1.0, 5, [0])  # empty range
+        sweep("xxz", 0.0, 1.0, 5, [])
     with pytest.raises(DomainError):
-        sweep("xxz", "delta", 0.0, 1.0, 1, [0])  # too few points
+        sweep("xxz", 0.0, 1.0, 5, [0], measures=["bogus"])
     with pytest.raises(DomainError):
-        sweep("xxz", "delta", 0.0, 1.0, 5, [])
-    with pytest.raises(DomainError):
-        sweep("xxz", "delta", 0.0, 1.0, 5, [0], measures=["bogus"])
-    with pytest.raises(DomainError):
-        sweep("xxz", "delta", 0.0, 1.0, 5, [ITERATION_CAP + 1])
+        sweep("xxz", 0.0, 1.0, 5, [ITERATION_CAP + 1])

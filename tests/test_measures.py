@@ -41,6 +41,8 @@ def test_shannon_entropy_rejects_bad_input():
         shannon_entropy([0.5, 0.6])
     with pytest.raises(InvalidDistribution):
         shannon_entropy([1.2, -0.2])
+    with pytest.raises(InvalidDistribution):
+        shannon_entropy([float("nan"), 1.0])
 
 
 def test_binary_mix_entropy_endpoints():
@@ -50,6 +52,8 @@ def test_binary_mix_entropy_endpoints():
     assert binary_mix_entropy(0.5) == pytest.approx(0.6008760366928562, abs=1e-14)
     with pytest.raises(DomainError):
         binary_mix_entropy(1.5)
+    with pytest.raises(DomainError):
+        binary_mix_entropy(float("nan"))
 
 
 def test_concurrence_extremes():

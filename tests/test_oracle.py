@@ -59,6 +59,11 @@ def test_jacobi_rejects_asymmetric_input():
         diag_symmetric(np.array([[0.0, 1.0], [0.0, 0.0]]))
     with pytest.raises(NotSymmetric):
         diag_symmetric(np.zeros((2, 3)))
+    for nan_at in ((0, 0), (0, 1)):  # on and off the diagonal
+        m = np.eye(2)
+        m[nan_at] = m[nan_at[::-1]] = np.nan
+        with pytest.raises(NotSymmetric):
+            diag_symmetric(m)
 
 
 def test_jacobi_least_eigenvalue_of_correlation_gram():
@@ -155,14 +160,14 @@ def test_conditional_entropy_kernel_matches_dense_projection():
 
 
 def test_brute_discord_bell():
-    value, _ = brute_force_discord(BELL, coarse=30, refine_iters=3)
+    value, _ = brute_force_discord(BELL)
     assert value == pytest.approx(1.0, abs=1e-6)
 
 
 def test_brute_discord_equatorial_optimum():
-    value, direction = brute_force_discord(xxz_rho13(0.0))
+    value, (theta, _) = brute_force_discord(xxz_rho13(0.0))
     assert value == pytest.approx(0.412154161151989, abs=1e-6)
-    assert direction.theta == pytest.approx(np.pi / 2.0, abs=1e-6)
+    assert theta == pytest.approx(np.pi / 2.0, abs=1e-6)
 
 
 def test_brute_discord_agrees_with_closed_form():

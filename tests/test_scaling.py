@@ -22,13 +22,7 @@ def test_numeric_derivative_quadratic_exact_inside():
     curve = numeric_derivative(grid**2, grid)
     # central differences are exact for quadratics away from the ends
     assert np.abs(curve.values[1:-1] - 2.0 * grid[1:-1]).max() < 1e-12
-    assert curve.grid is not None and curve.iteration is None
-
-
-def test_numeric_derivative_tags_iteration():
-    grid = np.linspace(0.0, 1.0, 5)
-    curve = numeric_derivative(grid, grid, iteration=3)
-    assert curve.iteration == 3 and curve.size == 81
+    assert curve.grid is not None
 
 
 def test_numeric_derivative_validation():

@@ -48,7 +48,7 @@ CALLS = [
     (check_measure_battery, {"states": 8}, {"measure_all": 8}),
     (check_ground_blocks, {"params_per_model": 3},
      {"diag_symmetric": 2 * 3, "partial_trace_mid": 2 * 2 * 3}),
-    (check_bell_bound, {"points": 4, "max_iteration": 2}, {"sweep_cells": 2 * 4 * 3}),
+    (check_bell_bound, {"points": 4}, {"sweep_cells": 2 * 4 * 7}),
     (check_chsh_oracle, {"states": 5}, {"brute_force_chsh": 5}),
     (check_discord_oracle, {"states": 3}, {"brute_force_discord": 3}),
 ]

@@ -56,6 +56,9 @@ def test_from_matrix_rejects_off_pattern_entries():
     m[1, 0] = 1e-6
     with pytest.raises(NotXStructured):
         xstate_from_matrix(m)
+    m[0, 1] = m[1, 0] = np.nan
+    with pytest.raises(NotXStructured):
+        xstate_from_matrix(m)
 
 
 def test_from_matrix_rejects_bad_trace():
@@ -144,9 +147,9 @@ def test_spectrum_descending_and_normalized():
 
 def test_marginals():
     s = XState(0.4, 0.3, 0.2, 0.1, 0.1, 0.05)
-    ma, mb = marginal_a(s), marginal_b(s)
-    assert (ma.p0, ma.p1) == pytest.approx((0.7, 0.3), abs=1e-15)
-    assert (mb.p0, mb.p1) == pytest.approx((0.6, 0.4), abs=1e-15)
+    (a0, a1), (b0, b1) = marginal_a(s), marginal_b(s)
+    assert (a0, a1) == pytest.approx((0.7, 0.3), abs=1e-15)
+    assert (b0, b1) == pytest.approx((0.6, 0.4), abs=1e-15)
 
 
 def test_random_xstates_reproducible():
