@@ -133,11 +133,12 @@ def _cmd_sweep(args) -> int:
     out = _out_dir(args)
     csv_path = out / f"sweep_{model}.csv"
     lines = [",".join([axis, "iteration", "N"] + measures)]
-    for j in range(table.grid.size):
-        for i, n in enumerate(table.iterations):
-            fields = [fmt(table.grid[j]), str(n), str(effective_size(n))]
-            fields += [fmt(v) for v in table.values[i, j, :]]
-            lines.append(",".join(fields))
+    # one row template with fmt's "%.11e" per number; "n,N" is formatted once per depth
+    row = ",".join(["%.11e", "%s"] + ["%.11e"] * len(measures))
+    depths = [f"{n},{effective_size(n)}" for n in table.iterations]
+    for j, axis_value in enumerate(table.grid.tolist()):
+        for depth, values in zip(depths, table.values[:, j, :].tolist()):
+            lines.append(row % (axis_value, depth, *values))
     _write_text(csv_path, lines)
     print(f"wrote {csv_path}")
     if args.plot:

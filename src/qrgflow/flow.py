@@ -7,11 +7,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .measures import MEASURE_FUNCS, MEASURE_NAMES, MeasureSet, measure_all
+from .elementwise import ops_of
+from .measures import MEASURE_NAMES, MeasureSet, evaluate, measure_all
 from .models import get_model, model_of
 
 ITERATION_CAP = 30
+MAX_SWEEP_CELLS = 2**24  # iterations x points x measures; the values table is then 128 MiB
 _SNAP_TOL = 1e-14
+_CHUNK = 8192  # grid points flowed and measured together, which bounds the working arrays
 
 
 def effective_size(n: int) -> int:
@@ -23,12 +26,15 @@ def effective_size(n: int) -> int:
     return 3 ** (int(n) + 1)
 
 
-def _snapped_step(model, j: float, coupling: float) -> tuple[float, float]:
-    """One coupling-map step on floats; a coupling within 1e-14 of a fixed point snaps onto it."""
+def _snapped_step(model, j, coupling):
+    """One coupling-map step on floats or arrays.
+
+    A coupling within 1e-14 of a fixed point snaps onto it.
+    """
     j, coupling = model.step(j, coupling)
+    ops = ops_of(coupling)
     for p in model.fixed_points:  # so converged flows stop churning at float resolution
-        if abs(coupling - p) < _SNAP_TOL:
-            return j, p
+        coupling = ops.where(abs(coupling - p) < _SNAP_TOL, p, coupling)
     return j, coupling
 
 
@@ -93,7 +99,11 @@ def sweep(model: str, lo: float, hi: float, points: int, iterations, measures=No
     """Measure curves over a parameter grid for a set of iteration depths.
 
     The grid runs over the model's plotting axis: the anisotropy 'delta' for
-    XXZ, the coupling ratio 'g' for XY (converted to gamma internally).
+    XXZ, the coupling ratio 'g' for XY (converted to gamma internally).  The
+    couplings of the whole grid flow as one array per depth, and each measure
+    column is evaluated in one pass; every cell equals the per-state measure
+    of ``edge_state`` of its coupling.  A request above MAX_SWEEP_CELLS is a
+    DomainError, raised before anything is allocated.
     """
     entry = get_model(model)
     if not (np.isfinite(lo) and np.isfinite(hi)) or not lo < hi:
@@ -113,24 +123,30 @@ def sweep(model: str, lo: float, hi: float, points: int, iterations, measures=No
         chosen = MEASURE_NAMES
     else:
         chosen = tuple(measures)
-        unknown = [m for m in chosen if m not in MEASURE_FUNCS]
+        unknown = [m for m in chosen if m not in MEASURE_NAMES]
         if unknown:
             raise DomainError(f"unknown measures {unknown}; valid: {list(MEASURE_NAMES)}")
         if not chosen:
             raise DomainError("need at least one measure")
 
+    cells = len(its) * int(points) * len(chosen)
+    if cells > MAX_SWEEP_CELLS:
+        raise DomainError(f"sweep of {cells} cells exceeds the limit of {MAX_SWEEP_CELLS}")
+
     grid = np.linspace(float(lo), float(hi), int(points))
-    funcs = [MEASURE_FUNCS[m] for m in chosen]
     values = np.empty((len(its), len(grid), len(chosen)))
     couplings = np.empty((len(its), len(grid)))
     wanted = {n: row for row, n in enumerate(its)}
-    for col, axis_value in enumerate(grid):
-        j, coupling = 1.0, entry.coupling_of_axis(float(axis_value))
-        for n in range(its[-1] + 1):
-            if n in wanted:
-                couplings[wanted[n], col] = coupling
-                state = entry.edge_state(coupling)
-                values[wanted[n], col, :] = [f(state) for f in funcs]
-            if n < its[-1]:
-                j, coupling = _snapped_step(entry, j, coupling)
+    with np.errstate(over="ignore"):  # the Neel side flows to delta = inf, as floats do silently
+        for start in range(0, len(grid), _CHUNK):
+            cols = slice(start, start + _CHUNK)
+            j, coupling = 1.0, entry.coupling_of_axis(grid[cols])
+            for n in range(its[-1] + 1):
+                if n in wanted:
+                    couplings[wanted[n], cols] = coupling
+                    state = entry.edge_state(coupling)
+                    for k, column in enumerate(evaluate(state, chosen)):
+                        values[wanted[n], cols, k] = column
+                if n < its[-1]:
+                    j, coupling = _snapped_step(entry, j, coupling)
     return SweepTable(model, entry.axis, grid, tuple(its), chosen, values, couplings)

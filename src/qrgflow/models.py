@@ -17,6 +17,7 @@ from typing import Callable
 
 import numpy as np
 
+from .elementwise import ops_of
 from .errors import DomainError
 from .xstate import XState
 
@@ -77,10 +78,10 @@ class BlockState8:
 
 def q_of_delta(delta: float) -> float:
     """Ground-sector root q = -(delta + sqrt(delta^2 + 8))/2; q(1) = -2."""
-    if math.isnan(delta) or delta < 0.0:
+    ops = ops_of(delta)
+    if not ops.all(delta >= 0.0):  # NaN fails it too
         raise DomainError(f"delta must be >= 0, got {delta}")
-    # plain-float arithmetic so delta -> inf propagates without numpy warnings
-    return -0.5 * (delta + math.sqrt(delta * delta + 8.0))
+    return -0.5 * (delta + ops.sqrt(delta * delta + 8.0))
 
 
 def xxz_rg_step(j: float, delta: float) -> tuple[float, float]:
@@ -127,7 +128,8 @@ def xy_rg_step(j: float, gamma: float) -> tuple[float, float]:
     j_next = j * ((3.0 * g2 + 1.0) / (2.0 * (1.0 + g2)))
     g_next = (gamma * g2 + 3.0 * gamma) / (3.0 * g2 + 1.0)
     # the exact map never leaves [-1, 1]; clamp rounding overshoot near +-1
-    return j_next, max(-1.0, min(1.0, g_next))
+    ops = ops_of(g_next)
+    return j_next, ops.max(-1.0, ops.min(1.0, g_next))
 
 
 def xy_ground_states(gamma: float) -> tuple[BlockState8, BlockState8]:
@@ -149,7 +151,7 @@ def xy_ground_states(gamma: float) -> tuple[BlockState8, BlockState8]:
 
 def xy_rho13(gamma: float) -> XState:
     """Sites-(1,3) reduced state of the first XY ground ket."""
-    if not abs(gamma) <= 1.0:
+    if not ops_of(gamma).all(abs(gamma) <= 1.0):
         raise DomainError(f"|gamma| must be <= 1, got {gamma}")
     g2 = gamma * gamma
     denom = 4.0 * (1.0 + g2)
@@ -172,7 +174,7 @@ def g_of_gamma(gamma: float) -> float:
 
 def gamma_of_g(g: float) -> float:
     """Inverse map gamma = (g-1)/(g+1); pole at g = -1."""
-    if g == -1.0:
+    if not ops_of(g).all(g != -1.0):
         raise DomainError("gamma diverges at g = -1")
     return (g - 1.0) / (g + 1.0)
 
@@ -194,9 +196,11 @@ def _xy_slope(gamma: float) -> float:
 class Model:
     """One chain: its couplings, coupling map, block states and plotting axis.
 
-    ``step`` maps floats (j, coupling) to (j', coupling'); ``edge_state`` and ``slope`` take a
-    coupling, ``bell_strict`` an array of couplings, ``coupling_of_axis`` an axis value,
-    and ``ground_states``, ``bond`` and ``energy`` the params.
+    ``step`` maps (j, coupling) to (j', coupling'), ``edge_state`` takes a
+    coupling and ``coupling_of_axis`` an axis value: each takes floats, or
+    arrays elementwise, with the same rounding.  ``slope`` takes a coupling,
+    ``bell_strict`` an array of couplings, and ``ground_states``, ``bond`` and
+    ``energy`` the params.
     They call the module-level functions through their names, so a wrapper
     installed on this module (a profiler, a test double) sees every call.
     """
@@ -224,7 +228,7 @@ _ENTRIES = (
         params=XXZParams,
         coupling="delta",
         axis="delta",
-        coupling_of_axis=float,
+        coupling_of_axis=lambda delta: delta,  # the axis is the coupling
         axis_range=(0.0, 2.5),
         coupling_range=(0.0, 2.5),
         fixed_points=(0.0, 1.0),

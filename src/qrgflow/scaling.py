@@ -19,7 +19,7 @@ from .errors import (
     NonUniformGrid,
 )
 from .flow import effective_size, sweep
-from .measures import MEASURE_FUNCS
+from .measures import MEASURE_NAMES
 
 CRITICAL_POINT = 1.0  # both models in their plotting variables
 
@@ -177,7 +177,7 @@ def scaling_report(
     Iterations 0 and 1 are pre-asymptotic and excluded by the default range;
     pass them explicitly to include them.
     """
-    if measure not in MEASURE_FUNCS:
+    if measure not in MEASURE_NAMES:
         raise DomainError(f"unknown measure {measure!r}")
     its = sorted({int(n) for n in iterations})
     if len(its) < 3:

@@ -13,11 +13,11 @@ local unitary and are stripped at ingestion, so all downstream algebra is real.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from .elementwise import Elementwise, ops_of
 from .errors import NotDensityMatrix, NotXStructured
 
 VALIDATION_TOL = 1e-10
@@ -25,7 +25,12 @@ VALIDATION_TOL = 1e-10
 
 @dataclass(frozen=True)
 class XState:
-    """X-structured two-qubit density matrix with real coherences."""
+    """X-structured two-qubit density matrix with real coherences.
+
+    The fields are floats for one state, or arrays of one shape for a batch of
+    states (``Model.edge_state`` of an array of couplings); the checks then
+    hold elementwise.
+    """
 
     d1: float
     d2: float
@@ -35,22 +40,32 @@ class XState:
     b: float
 
     def __post_init__(self):
-        d = (self.d1, self.d2, self.d3, self.d4)
-        if any(not math.isfinite(x) for x in d + (self.a, self.b)):
+        d1, d2, d3, d4, a, b = self.d1, self.d2, self.d3, self.d4, self.a, self.b
+        ops = ops_of(d1, d2, d3, d4, a, b)
+        finite = ops.isfinite(d1) & ops.isfinite(d2) & ops.isfinite(d3) & ops.isfinite(d4)
+        if not ops.all(finite & ops.isfinite(a) & ops.isfinite(b)):
             raise NotDensityMatrix("non-finite entry in X-state parameters")
-        if min(d) < -VALIDATION_TOL:
-            raise NotDensityMatrix(f"negative diagonal weight {min(d)}")
-        if abs(sum(d) - 1.0) > VALIDATION_TOL:
-            raise NotDensityMatrix(f"diagonal weights sum to {sum(d)}, not 1")
+        least = ops.min(d1, d2, d3, d4)
+        if not ops.all(least >= -VALIDATION_TOL):
+            raise NotDensityMatrix(f"negative diagonal weight {np.min(least)}")
+        total = d1 + d2 + d3 + d4
+        if not ops.all(abs(total - 1.0) <= VALIDATION_TOL):
+            worst = np.ravel(total)[np.argmax(np.abs(np.ravel(total) - 1.0))]
+            raise NotDensityMatrix(f"diagonal weights sum to {worst}, not 1")
         # positivity of the two 2x2 blocks
-        if self.a * self.a > self.d1 * self.d4 + VALIDATION_TOL:
+        if not ops.all(a * a <= d1 * d4 + VALIDATION_TOL):
             raise NotDensityMatrix("outer coherence exceeds sqrt(d1*d4)")
-        if self.b * self.b > self.d2 * self.d3 + VALIDATION_TOL:
+        if not ops.all(b * b <= d2 * d3 + VALIDATION_TOL):
             raise NotDensityMatrix("inner coherence exceeds sqrt(d2*d3)")
 
     @property
     def diagonal(self) -> tuple[float, float, float, float]:
         return (self.d1, self.d2, self.d3, self.d4)
+
+
+def state_ops(s: XState) -> Elementwise:
+    """The primitives for the fields of s: FLOATS for one state, ARRAYS for a batch."""
+    return ops_of(s.d1, s.d2, s.d3, s.d4, s.a, s.b)
 
 
 @dataclass(frozen=True)
@@ -106,15 +121,20 @@ def xstate_to_matrix(s: XState) -> np.ndarray:
     )
 
 
+def bloch_components(s: XState) -> tuple:
+    """(x, y, t1, t2, t3) of an X state, floats or arrays like its fields."""
+    return (
+        s.d1 + s.d2 - s.d3 - s.d4,
+        s.d1 - s.d2 + s.d3 - s.d4,
+        2.0 * (s.a + s.b),
+        2.0 * (s.b - s.a),
+        s.d1 - s.d2 - s.d3 + s.d4,
+    )
+
+
 def to_bloch(s: XState) -> BlochX:
     """Bloch-z components and diagonal correlation entries of an X state."""
-    return BlochX(
-        x=s.d1 + s.d2 - s.d3 - s.d4,
-        y=s.d1 - s.d2 + s.d3 - s.d4,
-        t1=2.0 * (s.a + s.b),
-        t2=2.0 * (s.b - s.a),
-        t3=s.d1 - s.d2 - s.d3 + s.d4,
-    )
+    return BlochX(*bloch_components(s))
 
 
 def from_bloch(p: BlochX) -> XState:
@@ -129,16 +149,20 @@ def from_bloch(p: BlochX) -> XState:
     )
 
 
+def eigenvalues(s: XState, ops: Elementwise) -> list:
+    """The four eigenvalues, largest first, from the two 2x2 blocks."""
+    outer_mid = 0.5 * (s.d1 + s.d4)
+    outer_rad = ops.hypot(0.5 * (s.d1 - s.d4), s.a)
+    inner_mid = 0.5 * (s.d2 + s.d3)
+    inner_rad = ops.hypot(0.5 * (s.d2 - s.d3), s.b)
+    return ops.descending(
+        outer_mid + outer_rad, outer_mid - outer_rad, inner_mid + inner_rad, inner_mid - inner_rad
+    )
+
+
 def spectrum(s: XState) -> np.ndarray:
     """Four eigenvalues in descending order, from the two 2x2 blocks."""
-    outer_mid = 0.5 * (s.d1 + s.d4)
-    outer_rad = np.hypot(0.5 * (s.d1 - s.d4), s.a)
-    inner_mid = 0.5 * (s.d2 + s.d3)
-    inner_rad = np.hypot(0.5 * (s.d2 - s.d3), s.b)
-    vals = np.array(
-        [outer_mid + outer_rad, outer_mid - outer_rad, inner_mid + inner_rad, inner_mid - inner_rad]
-    )
-    return np.sort(vals)[::-1]
+    return np.array(eigenvalues(s, state_ops(s)))
 
 
 def marginal_a(s: XState) -> tuple[float, float]:

@@ -4,6 +4,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -11,6 +12,7 @@ import pytest
 from qrgflow import cli
 from qrgflow.cli import main
 from qrgflow.errors import DomainError, QrgError
+from qrgflow.flow import MAX_SWEEP_CELLS
 
 SCI = re.compile(r"^-?\d\.\d{11}e[+-]\d{2,3}$")  # 12 significant digits
 
@@ -228,6 +230,21 @@ def test_scaling_rejects_non_finite_critical(critical, tmp_path, capsys):
     ])
     assert rc == 2
     assert "critical point must be finite" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
+def test_oversized_grid_exits_2_before_allocating(tmp_path, capsys):
+    # one depth and one measure per sweep, so the table holds exactly --points cells
+    points = MAX_SWEEP_CELLS + 1
+    tracemalloc.start()
+    try:
+        rc = run(["scaling", "--model", "xy", "--points", str(points), "--out", str(tmp_path)])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert rc == 2
+    assert "exceeds the limit" in capsys.readouterr().err
+    assert peak < 1 << 20  # the grid alone would take 8 bytes per point
     assert not list(tmp_path.iterdir())
 
 

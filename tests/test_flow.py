@@ -1,24 +1,58 @@
 """Map iteration, fixed-point pinning, and grid sweeps."""
 
+import warnings
+
 import numpy as np
 import pytest
 
 from qrgflow import (
     ITERATION_CAP,
+    MEASURE_NAMES,
     MODELS,
     DomainError,
+    NotDensityMatrix,
+    XState,
     XXZParams,
     XYParams,
     advance,
     chsh_max,
+    concurrence,
+    discord_optimal,
+    discord_sigma_xy,
+    discord_sigma_z,
     effective_size,
     gamma_of_g,
+    geometric_discord,
     iterate,
     measure_all,
+    mid,
+    min_nonlocality,
+    random_xstates,
     sweep,
     xxz_rho13,
     xy_rho13,
 )
+from qrgflow import flow
+from qrgflow.measures import _pauli_guard, evaluate
+
+# Each sweep column against the per-state function of the same measure.
+PER_STATE = {
+    "concurrence": concurrence,
+    "qd_optimal": lambda s: discord_optimal(s)[0],
+    "qd_sigma_x": lambda s: discord_sigma_xy(s, "x"),
+    "qd_sigma_y": lambda s: discord_sigma_xy(s, "y"),
+    "qd_sigma_z": discord_sigma_z,
+    "mid": mid,
+    "gd": geometric_discord,
+    "min": min_nonlocality,
+    "chsh_max": chsh_max,
+}
+FIELDS = ("d1", "d2", "d3", "d4", "a", "b")
+
+
+def _bits(value) -> str:
+    """Exact bit pattern of a float, so that -0.0 and 0.0 differ too."""
+    return float(value).hex()
 
 
 def test_effective_size_geometric():
@@ -144,3 +178,71 @@ def test_sweep_validation():
         sweep("xxz", 0.0, 1.0, 5, [0], measures=["bogus"])
     with pytest.raises(DomainError):
         sweep("xxz", 0.0, 1.0, 5, [ITERATION_CAP + 1])
+
+
+@pytest.mark.parametrize(
+    "name, hi, points, depths",
+    [
+        ("xxz", 2.5, 41, range(7)),  # step 1/16 holds delta = 0 and 1 exactly
+        ("xy", 4.0, 33, range(7)),  # step 1/8 holds g = 0 and 1 exactly
+        ("xxz", 2.5, 21, range(31)),  # the Neel side reaches delta = inf
+    ],
+)
+def test_sweep_cells_equal_per_state_measures_bit_for_bit(name, hi, points, depths):
+    model = MODELS[name]
+    table = sweep(name, 0.0, hi, points, depths)
+    assert {0.0, 1.0} <= set(table.grid.tolist())
+    assert table.measures == MEASURE_NAMES
+    if depths[-1] == 30:
+        assert np.isinf(table.couplings[-1]).any()
+    for i in range(len(table.iterations)):
+        for j in range(points):
+            state = model.edge_state(float(table.couplings[i, j]))
+            for k, measure in enumerate(table.measures):
+                expected = PER_STATE[measure](state)
+                assert _bits(table.values[i, j, k]) == _bits(expected), (name, i, j, measure)
+
+
+def test_batch_pass_equals_per_state_on_random_states():
+    states = [XState(*(float(getattr(s, f)) for f in FIELDS)) for s in random_xstates(200, seed=3)]
+    unguarded = sum(not _pauli_guard(s) for s in states)
+    assert unguarded > 20 and len(states) - unguarded > 20  # both sides of the search
+    batch = XState(*(np.array([getattr(s, f) for s in states]) for f in FIELDS))
+    columns = evaluate(batch)
+    for k, measure in enumerate(MEASURE_NAMES):
+        assert columns[k].shape == (len(states),)
+        for i, s in enumerate(states):
+            assert _bits(columns[k][i]) == _bits(PER_STATE[measure](s)), (i, measure)
+
+
+def test_batch_state_checks_every_cell():
+    q = np.full(2, 0.25)
+    XState(q, q, q, q, np.array([0.1, 0.25]), 0.0)
+    with pytest.raises(NotDensityMatrix, match="outer coherence"):
+        XState(q, q, q, q, np.array([0.1, 0.3]), 0.0)  # the second cell has a^2 > d1 d4
+    with pytest.raises(NotDensityMatrix, match="sum to 1.1"):
+        XState(q, q, q, q + np.array([0.0, 0.1]), 0.0, 0.0)
+
+
+def test_neel_flow_raises_no_numpy_warning():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        table = sweep("xxz", 0.0, 2.5, 50, range(31))
+    assert np.isinf(table.couplings[-1, -1])
+    assert np.isfinite(table.values).all()
+
+
+def test_sweep_cell_limit_is_inclusive(monkeypatch):
+    monkeypatch.setattr(flow, "MAX_SWEEP_CELLS", 63)
+    table = sweep("xy", 0.0, 3.0, 3, range(7), measures=["gd", "min", "chsh_max"])  # 63 cells
+    assert table.values.shape == (7, 3, 3)
+    with pytest.raises(DomainError, match="exceeds the limit"):
+        sweep("xy", 0.0, 3.0, 4, range(7), measures=["gd", "min", "chsh_max"])
+
+
+def test_long_grids_flow_in_chunks(monkeypatch):
+    whole = sweep("xxz", 0.0, 2.5, 23, range(4))
+    monkeypatch.setattr(flow, "_CHUNK", 5)
+    chunked = sweep("xxz", 0.0, 2.5, 23, range(4))
+    assert chunked.values.tobytes() == whole.values.tobytes()
+    assert chunked.couplings.tobytes() == whole.couplings.tobytes()

@@ -1,7 +1,7 @@
 """Golden outputs: SHA-256 digests of small CLI runs.
 
 The CLI files are the behavioural contract, so a refactor must leave every
-byte of them unchanged.  Each run below takes well under a second.  The
+byte of them unchanged.  Each run below takes under a second.  The
 digests pin the 12-significant-digit text written with the numpy and libm of
 the reference container; a digest that changes is a changed output file, to be
 diffed cell by cell against the previous release before anything else.
@@ -64,6 +64,37 @@ RUNS = {
             "scaling_xxz_chsh_max.csv": "437c4d3599e5e80c485e485b11f965dfcfbb26f4e398d33cb7f164dfc28763f3",
             "scaling_xxz_chsh_max_fits.txt": "74e00e1466f6c50ba8bd00637f9f34b57cf28d96eaabddad88eb442daca45f31",
             "scaling_xxz_chsh_max.gp": "9e3fb953c2ff516465d8f4044708a55c9defb88af648b625d1ae7fbc212e3079",
+        },
+    ),
+    # The benchmark's own ops at their CLI defaults: 500 x 7 sweeps, 2 001-point scaling.
+    "sweep-xxz-default": (
+        ["sweep", "--model", "xxz"],
+        {
+            "sweep_xxz.csv": "ec8968f9bdcfa4d2cebab2593c8147a655e8988c281fb6f223f4d6a0ae972b5b",
+            "sweep_xxz.gp": "24df0592380bc7cbde41bfc1ac6a930eaf8bb9aec7e684d1ecf832125d07ea46",
+        },
+    ),
+    "sweep-xy-default": (
+        ["sweep", "--model", "xy"],
+        {
+            "sweep_xy.csv": "216bd388e42d049411e8c9a1be68b0ca76240fa9ee88c6ba448e160651f11d30",
+            "sweep_xy.gp": "0075ef711df3576cbe1e7593d8bf61fe352ea7ca680ccfda5804900a68f88fc7",
+        },
+    ),
+    "scaling-xxz-default": (
+        ["scaling", "--model", "xxz"],
+        {
+            "scaling_xxz_chsh_max.csv": "944d5cd71f4f16fc1fb5273a137457e3a1af26ee026c773764adae23d75b28df",
+            "scaling_xxz_chsh_max_fits.txt": "aea3833d012ed804963786a5af08d56feed8231b6b2db9738376037255eda2bc",
+            "scaling_xxz_chsh_max.gp": "9e3fb953c2ff516465d8f4044708a55c9defb88af648b625d1ae7fbc212e3079",
+        },
+    ),
+    "scaling-xy-default": (
+        ["scaling", "--model", "xy"],
+        {
+            "scaling_xy_chsh_max.csv": "05c315155cf5d03c00b003872aeec55a82ba1294cacaa6bb9d467d6550f3da27",
+            "scaling_xy_chsh_max_fits.txt": "fe2620c26b3c8f7c60329b4dc357cb2b5a762e3204a6d0f81370b69fdf9c54f9",
+            "scaling_xy_chsh_max.gp": "69137805b54748ac2d5c48b8e7479cc646fe036be88577485aafd595e1a13e51",
         },
     ),
 }
