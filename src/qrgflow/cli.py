@@ -7,9 +7,12 @@ with the same arguments are byte-identical.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from dataclasses import astuple
 from pathlib import Path
+
+import numpy as np
 
 from .errors import DomainError, QrgError
 from .flow import effective_size, iterate, sweep
@@ -27,6 +30,101 @@ _NUMERIC_ERRORS = (QrgError, FloatingPointError, OverflowError, RuntimeError)
 
 def fmt(value: float) -> str:
     return f"{float(value):.11e}"
+
+
+# Exact fmt text of whole float arrays.  A cell is 20 ASCII bytes held as five
+# uint32 words, "[-]d.d" "dddd" "dddd" "dde±" "[h]to,", where a NUL byte marks
+# an unused sign or hundreds-of-exponent slot and is deleted when the text is
+# written.  The digits are those of rint(|x| 10^(11-e)), e = floor(log10|x|),
+# scaled by two correctly rounded powers of ten: four roundings, a relative
+# error below 4.5e-16, so under 4.5e-4 on a mantissa below 1e12.  A cell whose
+# scaled mantissa lies within 1e-3 of a rounding tie or outside [1e11, 1e12),
+# and every zero, subnormal and non-finite cell, takes its text from fmt.
+_CELL_WORDS = 5
+
+
+def _ascii_words(texts, width: int) -> np.ndarray:
+    """ASCII strings, NUL-padded on the right, as rows of `width` uint32 words."""
+    data = "".join(text.ljust(4 * width, "\0") for text in texts).encode("ascii")
+    return np.frombuffer(data, np.uint32).reshape(len(texts), width)
+
+
+def _word_table(*chars) -> np.ndarray:
+    """uint32 words whose four bytes are the given broadcast ASCII codes, in C order."""
+    return np.stack(np.broadcast_arrays(*chars), axis=-1).astype(np.uint8).view(np.uint32).ravel()
+
+
+_E_MIN = -308  # decimal exponent of the least normal float; the largest has 308
+
+
+@functools.cache
+def _tables():
+    """Word tables of the cell text and the two scales of each exponent, built on first use."""
+    d = np.arange(ord("0"), ord("9") + 1)
+    tens, units = d[:, None], d  # digits of a two-digit index
+    negative = np.array([False, True])[:, None, None]  # index + 100 if negative
+    hundreds = np.where(d > ord("0"), d, 0)[:, None, None]
+    powers = np.array([float(f"1e{k}") for k in range(-149, 161)])  # correctly rounded
+    shift = 11 - np.arange(_E_MIN, 309)  # 10^shift = 10^(shift//2) * 10^(shift - shift//2)
+    return (
+        _word_table(np.where(negative, ord("-"), 0), tens, ord("."), units),  # "[-]d.d"
+        _word_table(d[:, None, None, None], d[:, None, None], tens, units),  # "dddd"
+        _word_table(tens, units, ord("e"), np.where(negative, ord("-"), ord("+"))),  # "dde±"
+        _word_table(hundreds, tens, units, ord(",")),  # "[h]to," by |e|
+        powers[shift // 2 + 149],
+        powers[shift - shift // 2 + 149],
+    )
+
+
+def _cell_words(x: np.ndarray) -> np.ndarray:
+    """fmt text of each entry of a 1-D float64 array, as (n, 5) words ending in ','."""
+    lead, quad, tail, exponent, scale_a, scale_b = _tables()
+    magnitude = np.abs(x)
+    fast = (magnitude >= sys.float_info.min) & (magnitude <= sys.float_info.max)
+    magnitude[~fast] = 1.0
+    e = np.floor(np.log10(magnitude)).astype(np.intp)
+    scaled = magnitude * scale_a.take(e - _E_MIN) * scale_b.take(e - _E_MIN)
+    mantissa = np.rint(scaled)
+    fast &= (scaled >= 1e11) & (mantissa < 1e12) & (np.abs(scaled - mantissa) < 0.499)
+    mantissa[~fast] = 1e11
+    high = np.floor(mantissa / 1e6)  # exact: integers below 2^53
+    low = (mantissa - high * 1e6).astype(np.intp)
+    high = high.astype(np.intp)
+    words = np.empty((x.size, _CELL_WORDS), np.uint32)
+    words[:, 0] = lead.take(high // 10000 + 100 * np.signbit(x))
+    words[:, 1] = quad.take(high % 10000)
+    words[:, 2] = quad.take(low // 100)
+    words[:, 3] = tail.take(low % 100 + 100 * (e < 0))
+    words[:, 4] = exponent.take(np.abs(e))
+    slow = np.flatnonzero(~fast)
+    if slow.size:  # mostly exact zeros: one fmt call per distinct bit pattern
+        bits, inverse = np.unique(x[slow].view(np.int64), return_inverse=True)
+        cells = [fmt(value).ljust(19, "\0") + "," for value in bits.view(np.float64).tolist()]
+        words[slow] = _ascii_words(cells, _CELL_WORDS)[inverse]
+    return words
+
+
+_CHUNK_ROWS = 512  # CSV rows formatted per numpy pass; bounds the writer's memory
+
+
+def _sweep_csv_chunks(table):
+    """The data rows of a sweep CSV (axis-major, iteration minor) as bytes, chunk by chunk."""
+    depths = len(table.iterations)
+    measures = table.values.shape[2]
+    labels = [f"{n},{effective_size(n)}," for n in table.iterations]
+    label_words = _ascii_words(labels, -(-max(map(len, labels)) // 4))
+    step = max(1, _CHUNK_ROWS // depths)
+    for start in range(0, table.grid.size, step):
+        stop = min(start + step, table.grid.size)
+        numbers = np.empty(((stop - start) * depths, 1 + measures))
+        numbers[:, 0] = np.repeat(table.grid[start:stop], depths)
+        numbers[:, 1:] = table.values[:, start:stop, :].transpose(1, 0, 2).reshape(-1, measures)
+        words = _cell_words(numbers.ravel()).reshape(len(numbers), -1)
+        line = np.hstack([
+            words[:, :_CELL_WORDS], np.tile(label_words, (stop - start, 1)), words[:, _CELL_WORDS:],
+        ])
+        line.view(np.uint8)[:, -1] = ord("\n")
+        yield line.tobytes().translate(None, b"\0")
 
 
 def _parse_range(text: str) -> tuple[float, float]:
@@ -132,14 +230,9 @@ def _cmd_sweep(args) -> int:
     table = sweep(model, lo, hi, args.points, iterations, measures=measures)
     out = _out_dir(args)
     csv_path = out / f"sweep_{model}.csv"
-    lines = [",".join([axis, "iteration", "N"] + measures)]
-    # one row template with fmt's "%.11e" per number; "n,N" is formatted once per depth
-    row = ",".join(["%.11e", "%s"] + ["%.11e"] * len(measures))
-    depths = [f"{n},{effective_size(n)}" for n in table.iterations]
-    for j, axis_value in enumerate(table.grid.tolist()):
-        for depth, values in zip(depths, table.values[:, j, :].tolist()):
-            lines.append(row % (axis_value, depth, *values))
-    _write_text(csv_path, lines)
+    with open(csv_path, "wb") as handle:
+        handle.write((",".join([axis, "iteration", "N"] + measures) + "\n").encode("utf-8"))
+        handle.writelines(_sweep_csv_chunks(table))
     print(f"wrote {csv_path}")
     if args.plot:
         gp_path = out / f"sweep_{model}.gp"
@@ -287,7 +380,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--plot", action=argparse.BooleanOptionalAction, default=True,
         help="write a gnuplot script next to the CSV",
     )
-    sweep_p.set_defaults(func=_cmd_sweep)
 
     flow_p = sub.add_parser(
         "flow", help="follow one starting point through repeated map iterations"
@@ -308,7 +400,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--plot", action=argparse.BooleanOptionalAction, default=True,
         help="write a gnuplot script next to the CSV",
     )
-    flow_p.set_defaults(func=_cmd_flow)
 
     scaling_p = sub.add_parser(
         "scaling", help="fit derivative-extremum power laws against effective size"
@@ -336,7 +427,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--self-test", action="store_true",
         help="run the fit machinery on built-in synthetic power laws and exit",
     )
-    scaling_p.set_defaults(func=_cmd_scaling)
 
     verify_p = sub.add_parser(
         "verify", help="run the closed-form vs brute-force verification battery"
@@ -348,22 +438,26 @@ def build_parser() -> argparse.ArgumentParser:
     verify_p.add_argument("--jacobi-matrices", type=int, default=1000)
     verify_p.add_argument("--seed", type=int, default=42)
     verify_p.add_argument("--inject-fault", action="store_true", help=argparse.SUPPRESS)
-    verify_p.set_defaults(func=_cmd_verify)
 
     fp_p = sub.add_parser(
         "fixed-points", help="report coupling-map fixed points and their stability"
     )
     fp_p.add_argument("--model", choices=(*MODELS, "all"), default="all")
-    fp_p.set_defaults(func=_cmd_fixed_points)
 
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
+    # looked up per call, so a replaced or wrapped _cmd_* function is the one run
+    handler = globals()["_cmd_" + args.command.replace("-", "_")]
     try:
-        return args.func(args)
+        return handler(args)
     except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return CONFIG_EXIT

@@ -76,7 +76,7 @@ def _polar_search(w: float, v: float, t: float, t3: float) -> float:
         total = 0.0
         for q, z in ((1.0 + w * c, v + t3 * c), (1.0 - w * c, v - t3 * c)):
             if q > 0.0:
-                total += 0.5 * q * binary_mix_entropy(min((st * st + z * z) / (q * q), 1.0))
+                total += 0.5 * q * _mix_entropy(FLOATS, (st * st + z * z) / (q * q))
         return total
 
     step = 0.5 * pi / (_THETA_GRID - 1)

@@ -13,6 +13,7 @@ local unitary and are stripped at ingestion, so all downstream algebra is real.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -180,8 +181,8 @@ def random_xstates(n: int, seed: int = 42) -> list[XState]:
     rng = np.random.default_rng(seed)
     out = []
     for _ in range(n):
-        d = rng.dirichlet(np.ones(4))
-        a = (2.0 * rng.random() - 1.0) * np.sqrt(d[0] * d[3])
-        b = (2.0 * rng.random() - 1.0) * np.sqrt(d[1] * d[2])
+        d = rng.dirichlet(np.ones(4)).tolist()
+        a = (2.0 * rng.random() - 1.0) * math.sqrt(d[0] * d[3])
+        b = (2.0 * rng.random() - 1.0) * math.sqrt(d[1] * d[2])
         out.append(XState(d[0], d[1], d[2], d[3], a, b))
     return out

@@ -276,3 +276,17 @@ def test_module_invocation():
     )
     assert proc.returncode == 0
     assert proc.stdout.splitlines()[0] == "xy gamma=-1.00000000000e+00 stable"
+
+
+def test_parser_is_built_once_per_process(monkeypatch, capsys):
+    built = []
+    build = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or build())
+    cli._parser.cache_clear()
+    try:
+        assert run(["fixed-points", "--model", "xy"]) == 0
+        assert run(["fixed-points", "--model", "xxz"]) == 0
+    finally:
+        cli._parser.cache_clear()
+    assert len(capsys.readouterr().out.splitlines()) == 5
+    assert built == [1]

@@ -97,6 +97,14 @@ RUNS = {
             "scaling_xy_chsh_max.gp": "69137805b54748ac2d5c48b8e7479cc646fe036be88577485aafd595e1a13e51",
         },
     ),
+    # 217 rows reaching e+308 axis cells, with flows that overflow to delta = inf by depth 30.
+    "sweep-xxz-huge-axis": (
+        ["sweep", "--model", "xxz", "--range", "0:1e308", "--points", "7", "--iterations", "0..30"],
+        {
+            "sweep_xxz.csv": "3898575244ecd11d14d3e413cf30a95e413a5d17205fbd0c5f3c1160a06c4445",
+            "sweep_xxz.gp": "5d3810af24622384019aef6a97b20c25f62f97f67767fd0b31350debaf5457e2",
+        },
+    ),
 }
 
 FIXED_POINTS_STDOUT = "403e84225ed875e09c24a6358c2c1165c98957827370251e032bbd2ebe9419b5"
