@@ -42,8 +42,6 @@ from .models import (
     fixed_points,
     g_of_gamma,
     gamma_of_g,
-    ground_energy,
-    ground_states,
     q_of_delta,
     reduced_state,
     xxz_rg_step,

@@ -12,10 +12,9 @@ import sys
 from dataclasses import astuple
 from pathlib import Path
 
-import numpy as np
-
+from .csvtext import fmt, sweep_csv_chunks
 from .errors import DomainError, QrgError
-from .flow import effective_size, iterate, sweep
+from .flow import ITERATION_CAP, effective_size, iterate, sweep
 from .measures import MEASURE_NAMES
 from .models import MODELS, fixed_points
 from .scaling import loglog_fit, scaling_report
@@ -26,105 +25,6 @@ NUMERIC_EXIT = 3
 
 # main catches DomainError (a bad input, CONFIG_EXIT) before these.
 _NUMERIC_ERRORS = (QrgError, FloatingPointError, OverflowError, RuntimeError)
-
-
-def fmt(value: float) -> str:
-    return f"{float(value):.11e}"
-
-
-# Exact fmt text of whole float arrays.  A cell is 20 ASCII bytes held as five
-# uint32 words, "[-]d.d" "dddd" "dddd" "dde±" "[h]to,", where a NUL byte marks
-# an unused sign or hundreds-of-exponent slot and is deleted when the text is
-# written.  The digits are those of rint(|x| 10^(11-e)), e = floor(log10|x|),
-# scaled by two correctly rounded powers of ten: four roundings, a relative
-# error below 4.5e-16, so under 4.5e-4 on a mantissa below 1e12.  A cell whose
-# scaled mantissa lies within 1e-3 of a rounding tie or outside [1e11, 1e12),
-# and every zero, subnormal and non-finite cell, takes its text from fmt.
-_CELL_WORDS = 5
-
-
-def _ascii_words(texts, width: int) -> np.ndarray:
-    """ASCII strings, NUL-padded on the right, as rows of `width` uint32 words."""
-    data = "".join(text.ljust(4 * width, "\0") for text in texts).encode("ascii")
-    return np.frombuffer(data, np.uint32).reshape(len(texts), width)
-
-
-def _word_table(*chars) -> np.ndarray:
-    """uint32 words whose four bytes are the given broadcast ASCII codes, in C order."""
-    return np.stack(np.broadcast_arrays(*chars), axis=-1).astype(np.uint8).view(np.uint32).ravel()
-
-
-_E_MIN = -308  # decimal exponent of the least normal float; the largest has 308
-
-
-@functools.cache
-def _tables():
-    """Word tables of the cell text and the two scales of each exponent, built on first use."""
-    d = np.arange(ord("0"), ord("9") + 1)
-    tens, units = d[:, None], d  # digits of a two-digit index
-    negative = np.array([False, True])[:, None, None]  # index + 100 if negative
-    hundreds = np.where(d > ord("0"), d, 0)[:, None, None]
-    powers = np.array([float(f"1e{k}") for k in range(-149, 161)])  # correctly rounded
-    shift = 11 - np.arange(_E_MIN, 309)  # 10^shift = 10^(shift//2) * 10^(shift - shift//2)
-    return (
-        _word_table(np.where(negative, ord("-"), 0), tens, ord("."), units),  # "[-]d.d"
-        _word_table(d[:, None, None, None], d[:, None, None], tens, units),  # "dddd"
-        _word_table(tens, units, ord("e"), np.where(negative, ord("-"), ord("+"))),  # "dde±"
-        _word_table(hundreds, tens, units, ord(",")),  # "[h]to," by |e|
-        powers[shift // 2 + 149],
-        powers[shift - shift // 2 + 149],
-    )
-
-
-def _cell_words(x: np.ndarray) -> np.ndarray:
-    """fmt text of each entry of a 1-D float64 array, as (n, 5) words ending in ','."""
-    lead, quad, tail, exponent, scale_a, scale_b = _tables()
-    magnitude = np.abs(x)
-    fast = (magnitude >= sys.float_info.min) & (magnitude <= sys.float_info.max)
-    magnitude[~fast] = 1.0
-    e = np.floor(np.log10(magnitude)).astype(np.intp)
-    scaled = magnitude * scale_a.take(e - _E_MIN) * scale_b.take(e - _E_MIN)
-    mantissa = np.rint(scaled)
-    fast &= (scaled >= 1e11) & (mantissa < 1e12) & (np.abs(scaled - mantissa) < 0.499)
-    mantissa[~fast] = 1e11
-    high = np.floor(mantissa / 1e6)  # exact: integers below 2^53
-    low = (mantissa - high * 1e6).astype(np.intp)
-    high = high.astype(np.intp)
-    words = np.empty((x.size, _CELL_WORDS), np.uint32)
-    words[:, 0] = lead.take(high // 10000 + 100 * np.signbit(x))
-    words[:, 1] = quad.take(high % 10000)
-    words[:, 2] = quad.take(low // 100)
-    words[:, 3] = tail.take(low % 100 + 100 * (e < 0))
-    words[:, 4] = exponent.take(np.abs(e))
-    slow = np.flatnonzero(~fast)
-    if slow.size:  # mostly exact zeros: one fmt call per distinct bit pattern
-        bits, inverse = np.unique(x[slow].view(np.int64), return_inverse=True)
-        cells = [fmt(value).ljust(19, "\0") + "," for value in bits.view(np.float64).tolist()]
-        words[slow] = _ascii_words(cells, _CELL_WORDS)[inverse]
-    return words
-
-
-_CHUNK_ROWS = 512  # CSV rows formatted per numpy pass; bounds the writer's memory
-
-
-def _sweep_csv_chunks(table):
-    """The data rows of a sweep CSV (axis-major, iteration minor) as bytes, chunk by chunk."""
-    depths = len(table.iterations)
-    measures = table.values.shape[2]
-    labels = [f"{n},{effective_size(n)}," for n in table.iterations]
-    label_words = _ascii_words(labels, -(-max(map(len, labels)) // 4))
-    step = max(1, _CHUNK_ROWS // depths)
-    for start in range(0, table.grid.size, step):
-        stop = min(start + step, table.grid.size)
-        numbers = np.empty(((stop - start) * depths, 1 + measures))
-        numbers[:, 0] = np.repeat(table.grid[start:stop], depths)
-        numbers[:, 1:] = table.values[:, start:stop, :].transpose(1, 0, 2).reshape(-1, measures)
-        words = _cell_words(numbers.ravel()).reshape(len(numbers), -1)
-        line = np.hstack([
-            words[:, :_CELL_WORDS], np.tile(label_words, (stop - start, 1)), words[:, _CELL_WORDS:],
-        ])
-        line.view(np.uint8)[:, -1] = ord("\n")
-        yield line.tobytes().translate(None, b"\0")
 
 
 def _parse_range(text: str) -> tuple[float, float]:
@@ -138,8 +38,12 @@ def _parse_range(text: str) -> tuple[float, float]:
 def _parse_iterations(text: str) -> list[int]:
     try:
         if ".." in text:
-            first, last = text.split("..")
-            values = list(range(int(first), int(last) + 1))
+            first, last = map(int, text.split(".."))
+            if first < 0 or last > ITERATION_CAP:  # refused before the range is built
+                raise argparse.ArgumentTypeError(
+                    f"iteration depths must lie in 0..{ITERATION_CAP}, got {text!r}"
+                )
+            values = list(range(first, last + 1))
         else:
             values = [int(part) for part in text.split(",")]
     except ValueError as exc:
@@ -167,6 +71,14 @@ def _parse_measures(text: str) -> list[str]:
 def _write_text(path: Path, lines) -> None:
     with open(path, "w", encoding="utf-8", newline="") as handle:
         handle.write("".join(line + "\n" for line in lines))
+    print(f"wrote {path}")
+
+
+def _write_plot(args, csv_path: Path, lines) -> None:
+    """The gnuplot script of csv_path, written next to it unless --no-plot."""
+    if args.plot:
+        header = [f"# companion plot script for {csv_path.name}", 'set datafile separator ","']
+        _write_text(csv_path.with_suffix(".gp"), header + lines)
 
 
 def _out_dir(args) -> Path:
@@ -178,17 +90,13 @@ def _out_dir(args) -> Path:
     return out
 
 
-def _sweep_plot_lines(csvname: str, axis: str, measures, iterations):
-    lines = [
-        f"# companion plot script for {csvname}",
-        'set datafile separator ","',
-        f'set xlabel "{axis}"',
-    ]
-    for k, measure in enumerate(measures):
+def _sweep_plot_lines(csvname: str, table):
+    lines = [f'set xlabel "{table.axis}"']
+    for k, measure in enumerate(table.measures):
         col = 4 + k
         series = ", \\\n".join(
             f'  "{csvname}" using ($2=={n}?$1:1/0):{col} with lines title "n={n}"'
-            for n in iterations
+            for n in table.iterations
         )
         lines += ["", f'set ylabel "{measure}"', "plot \\\n" + series, "pause -1"]
     return lines
@@ -200,8 +108,6 @@ def _flow_plot_lines(csvname: str, measures):
         for k, measure in enumerate(measures)
     )
     return [
-        f"# companion plot script for {csvname}",
-        'set datafile separator ","',
         'set xlabel "iteration n"',
         'set ylabel "measure value"',
         "plot \\\n" + series,
@@ -211,8 +117,6 @@ def _flow_plot_lines(csvname: str, measures):
 
 def _scaling_plot_lines(csvname: str, critical: float):
     return [
-        f"# companion plot script for {csvname}",
-        'set datafile separator ","',
         "set logscale xy",
         'set xlabel "N"',
         f'plot "{csvname}" using 2:4 with linespoints title "derivative extremum", \\',
@@ -223,21 +127,16 @@ def _scaling_plot_lines(csvname: str, critical: float):
 
 def _cmd_sweep(args) -> int:
     model = args.model
-    axis = MODELS[model].axis
     lo, hi = args.range if args.range is not None else MODELS[model].axis_range
     iterations = args.iterations if args.iterations is not None else list(range(7))
-    measures = args.measures if args.measures is not None else list(MEASURE_NAMES)
-    table = sweep(model, lo, hi, args.points, iterations, measures=measures)
+    table = sweep(model, lo, hi, args.points, iterations, measures=args.measures)
     out = _out_dir(args)
     csv_path = out / f"sweep_{model}.csv"
     with open(csv_path, "wb") as handle:
-        handle.write((",".join([axis, "iteration", "N"] + measures) + "\n").encode("utf-8"))
-        handle.writelines(_sweep_csv_chunks(table))
+        handle.write((",".join([table.axis, "iteration", "N", *table.measures]) + "\n").encode())
+        handle.writelines(sweep_csv_chunks(table))
     print(f"wrote {csv_path}")
-    if args.plot:
-        gp_path = out / f"sweep_{model}.gp"
-        _write_text(gp_path, _sweep_plot_lines(csv_path.name, axis, measures, table.iterations))
-        print(f"wrote {gp_path}")
+    _write_plot(args, csv_path, _sweep_plot_lines(csv_path.name, table))
     return 0
 
 
@@ -254,11 +153,7 @@ def _cmd_flow(args) -> int:
         fields += [fmt(step.params.j)] + [fmt(values[m]) for m in measures]
         lines.append(",".join(fields))
     _write_text(csv_path, lines)
-    print(f"wrote {csv_path}")
-    if args.plot:
-        gp_path = out / f"flow_{model.name}.gp"
-        _write_text(gp_path, _flow_plot_lines(csv_path.name, measures))
-        print(f"wrote {gp_path}")
+    _write_plot(args, csv_path, _flow_plot_lines(csv_path.name, measures))
     return 0
 
 
@@ -281,58 +176,41 @@ def _scaling_self_test() -> int:
     return 0 if ok else NUMERIC_EXIT
 
 
+def _library_options(args) -> dict:
+    """The library arguments the user gave; the library supplies every other default."""
+    cli_only = ("command", "out", "plot", "self_test")
+    options = {key: value for key, value in vars(args).items() if key not in cli_only}
+    if "range" in options:
+        options["lo"], options["hi"] = options.pop("range")
+    return options
+
+
 def _cmd_scaling(args) -> int:
     if args.self_test:
         return _scaling_self_test()
-    iterations = args.iterations if args.iterations is not None else list(range(2, 8))
-    lo, hi = args.range if args.range is not None else (0.5, 1.5)
-    report = scaling_report(
-        args.model,
-        args.measure,
-        iterations=iterations,
-        lo=lo,
-        hi=hi,
-        points=args.points,
-        kind=args.kind,
-        critical=args.critical,
-        refine_passes=args.refine_passes,
-    )
-    axis = MODELS[args.model].axis
+    report = scaling_report(**_library_options(args))
+    axis = MODELS[report.model].axis
     out = _out_dir(args)
-    stem = f"scaling_{args.model}_{args.measure}"
+    stem = f"scaling_{report.model}_{report.measure}"
     csv_path = out / f"{stem}.csv"
     lines = [",".join(["n", "N", f"{axis}_m", "deriv_extremum_abs"])]
     for row in report.rows:
         lines.append(",".join([str(row.n), str(row.size), fmt(row.position), fmt(row.magnitude)]))
     _write_text(csv_path, lines)
-    print(f"wrote {csv_path}")
     fit_lines = [
         f"{label}_fit exponent={fmt(fit.exponent)} intercept={fmt(fit.intercept)} "
         f"r_squared={fmt(fit.r_squared)}"
         for label, fit in (("magnitude", report.magnitude_fit), ("position", report.position_fit))
     ]
-    fits_path = out / f"{stem}_fits.txt"
-    _write_text(fits_path, fit_lines)
     for line in fit_lines:
         print(line)
-    print(f"wrote {fits_path}")
-    if args.plot:
-        gp_path = out / f"{stem}.gp"
-        _write_text(gp_path, _scaling_plot_lines(csv_path.name, args.critical))
-        print(f"wrote {gp_path}")
+    _write_text(out / f"{stem}_fits.txt", fit_lines)
+    _write_plot(args, csv_path, _scaling_plot_lines(csv_path.name, report.critical))
     return 0
 
 
 def _cmd_verify(args) -> int:
-    results = run_all(
-        oracle_states=args.oracle_states,
-        random_states=args.random_states,
-        params_per_model=args.params_per_model,
-        sweep_points=args.sweep_points,
-        jacobi_matrices=args.jacobi_matrices,
-        seed=args.seed,
-        inject_fault=args.inject_fault,
-    )
+    results = run_all(**_library_options(args))
     failed = [res for res in results if not res.ok]
     for res in results:
         print(f"{'PASS' if res.ok else 'FAIL'} {res.name} — {res.detail}")
@@ -357,9 +235,16 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    writer = argparse.ArgumentParser(add_help=False)  # options of the commands that write files
+    writer.add_argument("--out", default=".", help="output directory")
+    writer.add_argument(
+        "--plot", action=argparse.BooleanOptionalAction, default=True,
+        help="write a gnuplot script next to the CSV",
+    )
 
     sweep_p = sub.add_parser(
-        "sweep", help="tabulate measures over a coupling grid at several iteration depths"
+        "sweep", help="tabulate measures over a coupling grid at several iteration depths",
+        parents=[writer],
     )
     sweep_p.add_argument("--model", choices=tuple(MODELS), required=True)
     sweep_p.add_argument(
@@ -375,14 +260,10 @@ def build_parser() -> argparse.ArgumentParser:
         "--measures", type=_parse_measures, default=None, metavar="LIST",
         help='comma-separated measure names, or "all"',
     )
-    sweep_p.add_argument("--out", default=".", help="output directory")
-    sweep_p.add_argument(
-        "--plot", action=argparse.BooleanOptionalAction, default=True,
-        help="write a gnuplot script next to the CSV",
-    )
 
     flow_p = sub.add_parser(
-        "flow", help="follow one starting point through repeated map iterations"
+        "flow", help="follow one starting point through repeated map iterations",
+        parents=[writer],
     )
     flow_p.add_argument("--model", choices=tuple(MODELS), required=True)
     flow_p.add_argument(
@@ -395,48 +276,42 @@ def build_parser() -> argparse.ArgumentParser:
         "--measures", type=_parse_measures, default=None, metavar="LIST",
         help='comma-separated measure names, or "all"',
     )
-    flow_p.add_argument("--out", default=".", help="output directory")
-    flow_p.add_argument(
-        "--plot", action=argparse.BooleanOptionalAction, default=True,
-        help="write a gnuplot script next to the CSV",
-    )
 
+    # scaling and verify set only the options given, so each default is stated
+    # once, in scaling_report or run_all
     scaling_p = sub.add_parser(
-        "scaling", help="fit derivative-extremum power laws against effective size"
+        "scaling", help="fit derivative-extremum power laws against effective size",
+        parents=[writer], argument_default=argparse.SUPPRESS,
     )
     scaling_p.add_argument("--model", choices=tuple(MODELS), default="xy")
-    scaling_p.add_argument("--measure", choices=MEASURE_NAMES, default="chsh_max")
+    scaling_p.add_argument("--measure", choices=MEASURE_NAMES)
     scaling_p.add_argument(
-        "--iterations", type=_parse_iterations, default=None, metavar="DEPTHS",
+        "--iterations", type=_parse_iterations, metavar="DEPTHS",
         help="iteration depths entering the fit (default 2..7)",
     )
     scaling_p.add_argument(
-        "--range", type=_parse_range, default=None, metavar="LO:HI",
+        "--range", type=_parse_range, metavar="LO:HI",
         help="coarse search window (default 0.5:1.5)",
     )
-    scaling_p.add_argument("--points", type=int, default=2001)
-    scaling_p.add_argument("--refine-passes", type=int, default=2)
-    scaling_p.add_argument("--kind", choices=("min", "max"), default="min")
-    scaling_p.add_argument("--critical", type=float, default=1.0)
-    scaling_p.add_argument("--out", default=".", help="output directory")
+    scaling_p.add_argument("--points", type=int)
+    scaling_p.add_argument("--refine-passes", type=int)
+    scaling_p.add_argument("--kind", choices=("min", "max"))
+    scaling_p.add_argument("--critical", type=float)
     scaling_p.add_argument(
-        "--plot", action=argparse.BooleanOptionalAction, default=True,
-        help="write a gnuplot script next to the CSV",
-    )
-    scaling_p.add_argument(
-        "--self-test", action="store_true",
+        "--self-test", action="store_true", default=False,
         help="run the fit machinery on built-in synthetic power laws and exit",
     )
 
     verify_p = sub.add_parser(
-        "verify", help="run the closed-form vs brute-force verification battery"
+        "verify", help="run the closed-form vs brute-force verification battery",
+        argument_default=argparse.SUPPRESS,
     )
-    verify_p.add_argument("--oracle-states", type=int, default=500)
-    verify_p.add_argument("--random-states", type=int, default=10000)
-    verify_p.add_argument("--params-per-model", type=int, default=50)
-    verify_p.add_argument("--sweep-points", type=int, default=500)
-    verify_p.add_argument("--jacobi-matrices", type=int, default=1000)
-    verify_p.add_argument("--seed", type=int, default=42)
+    verify_p.add_argument("--oracle-states", type=int)
+    verify_p.add_argument("--random-states", type=int)
+    verify_p.add_argument("--params-per-model", type=int)
+    verify_p.add_argument("--sweep-points", type=int)
+    verify_p.add_argument("--jacobi-matrices", type=int)
+    verify_p.add_argument("--seed", type=int)
     verify_p.add_argument("--inject-fault", action="store_true", help=argparse.SUPPRESS)
 
     fp_p = sub.add_parser(

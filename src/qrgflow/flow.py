@@ -38,6 +38,21 @@ def _snapped_step(model, j, coupling):
     return j, coupling
 
 
+def _flow(model, j, coupling, depth: int):
+    """(n, j, coupling) at each depth n = 0..depth of one flow, on floats or arrays."""
+    for n in range(depth + 1):
+        yield n, j, coupling
+        if n < depth:
+            j, coupling = _snapped_step(model, j, coupling)
+
+
+def iteration_depth(n) -> int:
+    """n as an iteration depth: an integer from 0 to ITERATION_CAP, else a DomainError."""
+    if not isinstance(n, (int, np.integer)) or isinstance(n, bool) or not 0 <= n <= ITERATION_CAP:
+        raise DomainError(f"iteration depth must be an integer in 0..{ITERATION_CAP}, got {n!r}")
+    return int(n)
+
+
 def advance(params):
     """One snapped coupling-map step on a params record."""
     model = model_of(params)
@@ -61,25 +76,21 @@ class RGTrajectory:
     steps: tuple[FlowStep, ...]
 
 
-def iterate(params, n_steps: int, cap: int | None = ITERATION_CAP) -> RGTrajectory:
+def iterate(params, n_steps: int) -> RGTrajectory:
     """Iterate the coupling map n_steps times, measuring at every step.
 
-    Returns n_steps + 1 entries (iteration 0 is the bare block).  Steps beyond
-    cap raise DomainError; pass cap=None to lift it.
+    Returns n_steps + 1 entries (iteration 0 is the bare block).  The floats
+    (j, coupling) flow as in ``sweep``; each later entry's params record is
+    built from them for output.  Steps beyond ITERATION_CAP raise DomainError.
     """
     model = model_of(params)
-    if not isinstance(n_steps, (int, np.integer)) or isinstance(n_steps, bool) or n_steps < 0:
-        raise DomainError(f"step count must be a non-negative integer, got {n_steps!r}")
-    if cap is not None and n_steps > cap:
-        raise DomainError(f"step count {n_steps} exceeds the iteration cap {cap}")
-    steps = []
-    current = params
-    for n in range(int(n_steps) + 1):
-        state = model.edge_state(getattr(current, model.coupling))
-        steps.append(FlowStep(n, current, effective_size(n), measure_all(state)))
-        if n < n_steps:
-            current = advance(current)
-    return RGTrajectory(model.name, params, tuple(steps))
+    last = iteration_depth(n_steps)
+    steps = tuple(
+        FlowStep(n, model.params(j, coupling) if n else params, effective_size(n),
+                 measure_all(model.edge_state(coupling)))
+        for n, j, coupling in _flow(model, params.j, getattr(params, model.coupling), last)
+    )
+    return RGTrajectory(model.name, params, steps)
 
 
 @dataclass(frozen=True, eq=False)
@@ -112,13 +123,9 @@ def sweep(model: str, lo: float, hi: float, points: int, iterations, measures=No
         raise DomainError(f"axis {entry.axis!r} requires values >= 0, got lo = {lo}")
     if not isinstance(points, (int, np.integer)) or isinstance(points, bool) or points < 2:
         raise DomainError(f"need at least 2 grid points, got {points!r}")
-    its = sorted({int(n) for n in iterations})
+    its = sorted({iteration_depth(n) for n in iterations})  # refused at the first bad depth
     if not its:
         raise DomainError("need at least one iteration index")
-    if its[0] < 0:
-        raise DomainError(f"iteration indices must be >= 0, got {its[0]}")
-    if its[-1] > ITERATION_CAP:
-        raise DomainError(f"iteration {its[-1]} exceeds the iteration cap {ITERATION_CAP}")
     if measures is None:
         chosen = MEASURE_NAMES
     else:
@@ -140,13 +147,10 @@ def sweep(model: str, lo: float, hi: float, points: int, iterations, measures=No
     with np.errstate(over="ignore"):  # the Neel side flows to delta = inf, as floats do silently
         for start in range(0, len(grid), _CHUNK):
             cols = slice(start, start + _CHUNK)
-            j, coupling = 1.0, entry.coupling_of_axis(grid[cols])
-            for n in range(its[-1] + 1):
+            for n, _, coupling in _flow(entry, 1.0, entry.coupling_of_axis(grid[cols]), its[-1]):
                 if n in wanted:
                     couplings[wanted[n], cols] = coupling
                     state = entry.edge_state(coupling)
                     for k, column in enumerate(evaluate(state, chosen)):
                         values[wanted[n], cols, k] = column
-                if n < its[-1]:
-                    j, coupling = _snapped_step(entry, j, coupling)
     return SweepTable(model, entry.axis, grid, tuple(its), chosen, values, couplings)

@@ -286,16 +286,6 @@ class DiscordBreakdown:
     optimal_basis: str
 
 
-def _pauli_guard(s: XState) -> bool:
-    """Coherence condition under which some Pauli measurement is optimal."""
-    return not _Measures(s).unguarded
-
-
-def _interior_conditional(s: XState, side: str) -> float:
-    """Least conditional entropy over the polar angle of the measurement axis."""
-    return _polar_search(*_Measures(s, side).search_inputs)
-
-
 def discord_optimal(s: XState, side: str = "a") -> tuple[float, DiscordBreakdown]:
     """Quantum discord minimized over measurement bases.
 

@@ -198,9 +198,9 @@ class Model:
 
     ``step`` maps (j, coupling) to (j', coupling'), ``edge_state`` takes a
     coupling and ``coupling_of_axis`` an axis value: each takes floats, or
-    arrays elementwise, with the same rounding.  ``slope`` takes a coupling,
-    ``bell_strict`` an array of couplings, and ``ground_states``, ``bond`` and
-    ``energy`` the params.
+    arrays elementwise, with the same rounding.  ``bond`` and ``energy`` take
+    (j, coupling) floats, ``slope`` and ``ground_states`` a coupling, and
+    ``bell_strict`` an array of couplings.
     They call the module-level functions through their names, so a wrapper
     installed on this module (a profiler, a test double) sees every call.
     """
@@ -216,9 +216,9 @@ class Model:
     step: Callable[[float, float], tuple[float, float]]
     slope: Callable[[float], float]  # exact derivative of the coupling map
     edge_state: Callable[[float], XState]
-    ground_states: Callable
-    bond: Callable  # two-site bond Hamiltonian, J/4 prefactor included
-    energy: Callable
+    ground_states: Callable[[float], tuple[BlockState8, BlockState8]]
+    bond: Callable[[float, float], np.ndarray]  # two-site bond Hamiltonian, J/4 prefactor included
+    energy: Callable[[float, float], float]  # block ground energy
     bell_strict: Callable  # couplings where the Bell bound holds with margin
 
 
@@ -235,9 +235,9 @@ _ENTRIES = (
         step=lambda j, delta: xxz_rg_step(j, delta),
         slope=_xxz_slope,
         edge_state=lambda delta: xxz_rho13(delta),
-        ground_states=lambda p: xxz_ground_states(p.delta),
-        bond=lambda p: p.j / 4.0 * (_XX + _YY + p.delta * _ZZ),
-        energy=lambda p: p.j * q_of_delta(p.delta) / 2.0,
+        ground_states=lambda delta: xxz_ground_states(delta),
+        bond=lambda j, delta: j / 4.0 * (_XX + _YY + delta * _ZZ),
+        energy=lambda j, delta: j * q_of_delta(delta) / 2.0,
         # basin of the delta = 0 sink; the bound saturates only as delta -> inf
         bell_strict=lambda delta: delta <= 1.0,
     ),
@@ -253,9 +253,9 @@ _ENTRIES = (
         step=lambda j, gamma: xy_rg_step(j, gamma),
         slope=_xy_slope,
         edge_state=lambda gamma: xy_rho13(gamma),
-        ground_states=lambda p: xy_ground_states(p.gamma),
-        bond=lambda p: p.j / 4.0 * ((1.0 + p.gamma) * _XX + (1.0 - p.gamma) * _YY),
-        energy=lambda p: -p.j * np.sqrt(2.0 * (1.0 + p.gamma ** 2)) / 2.0,
+        ground_states=lambda gamma: xy_ground_states(gamma),
+        bond=lambda j, gamma: j / 4.0 * ((1.0 + gamma) * _XX + (1.0 - gamma) * _YY),
+        energy=lambda j, gamma: -j * np.sqrt(2.0 * (1.0 + gamma ** 2)) / 2.0,
         # the bound saturates at the sinks gamma = +-1
         bell_strict=lambda gamma: abs(gamma) < 0.999,
     ),
@@ -287,20 +287,9 @@ def fixed_points(model: str) -> list[tuple[float, str]]:
     return [(p, "stable" if abs(entry.slope(p)) < 1.0 else "unstable") for p in entry.fixed_points]
 
 
-def block_hamiltonian(params) -> np.ndarray:
-    """Dense 8x8 real symmetric Hamiltonian of the open three-site block."""
-    bond = model_of(params).bond(params)
+def block_hamiltonian(bond: np.ndarray) -> np.ndarray:
+    """Dense 8x8 Hamiltonian of the open three-site block whose two bonds are `bond`."""
     return np.kron(bond, _ID2) + np.kron(_ID2, bond)
-
-
-def ground_energy(params) -> float:
-    """Closed-form ground energy of the three-site block."""
-    return model_of(params).energy(params)
-
-
-def ground_states(params) -> tuple[BlockState8, BlockState8]:
-    """Closed-form degenerate ground doublet for either model."""
-    return model_of(params).ground_states(params)
 
 
 def reduced_state(params) -> XState:

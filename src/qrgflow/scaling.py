@@ -18,7 +18,7 @@ from .errors import (
     NonPositiveValue,
     NonUniformGrid,
 )
-from .flow import effective_size, sweep
+from .flow import effective_size, iteration_depth, sweep
 from .measures import MEASURE_NAMES
 
 CRITICAL_POINT = 1.0  # both models in their plotting variables
@@ -128,9 +128,9 @@ def derivative_extremum(
     lo: float,
     hi: float,
     points: int,
-    kind: str = "min",
-    critical: float = CRITICAL_POINT,
-    refine_passes: int = 2,
+    kind: str,
+    critical: float,
+    refine_passes: int,
 ) -> tuple[float, float]:
     """Locate the derivative extremum of one measure curve at iteration n.
 
@@ -179,14 +179,13 @@ def scaling_report(
     """
     if measure not in MEASURE_NAMES:
         raise DomainError(f"unknown measure {measure!r}")
-    its = sorted({int(n) for n in iterations})
+    its = sorted({iteration_depth(n) for n in iterations})  # refused at the first bad depth
     if len(its) < 3:
         raise DomainError(f"need at least 3 iteration depths for the fits, got {its}")
     rows = []
     for n in its:
         position, value = derivative_extremum(
-            model, measure, n, lo, hi, points, kind=kind, critical=critical,
-            refine_passes=refine_passes,
+            model, measure, n, lo, hi, points, kind, critical, refine_passes
         )
         rows.append(ScalingRow(n, effective_size(n), position, abs(value)))
     magnitude_fit = loglog_fit([(r.size, r.magnitude) for r in rows])

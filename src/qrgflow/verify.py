@@ -15,7 +15,7 @@ import numpy as np
 from .errors import DomainError
 from .flow import sweep
 from .measures import chsh_max, discord_optimal, discord_sigma_z, measure_all, mid
-from .models import MODELS, block_hamiltonian, ground_energy, ground_states, reduced_state
+from .models import MODELS, block_hamiltonian
 from .oracle import brute_force_chsh, brute_force_discord, diag_symmetric, partial_trace_mid
 from .xstate import XState, from_bloch, random_xstates, spectrum, to_bloch, xstate_to_matrix
 
@@ -36,7 +36,7 @@ def _require_samples(**counts: int) -> None:
         raise DomainError(f"sample counts must be >= 1, got {', '.join(empty)}")
 
 
-def check_mid_identity(states: int = 10000, seed: int = 42) -> CheckResult:
+def check_mid_identity(states: int, seed: int = 42) -> CheckResult:
     """MID must coincide with the sigma-z measured discord on both sides."""
     _require_samples(states=states)
     worst = 0.0
@@ -54,7 +54,7 @@ def check_mid_identity(states: int = 10000, seed: int = 42) -> CheckResult:
     )
 
 
-def check_discord_oracle(states: int = 500, seed: int = 42) -> CheckResult:
+def check_discord_oracle(states: int, seed: int = 42) -> CheckResult:
     """Brute-force measurement search vs the closed-form discord minimum."""
     _require_samples(states=states)
     worst = 0.0
@@ -74,7 +74,7 @@ def check_discord_oracle(states: int = 500, seed: int = 42) -> CheckResult:
     )
 
 
-def check_chsh_oracle(states: int = 500, seed: int = 42) -> CheckResult:
+def check_chsh_oracle(states: int, seed: int = 42) -> CheckResult:
     _require_samples(states=states)
     worst = 0.0
     for s in random_xstates(states, seed=seed):
@@ -91,7 +91,7 @@ def _spin_flip(s: XState) -> XState:
     return XState(s.d4, s.d3, s.d2, s.d1, s.a, s.b)
 
 
-def check_ground_blocks(params_per_model: int = 50, seed: int = 42) -> CheckResult:
+def check_ground_blocks(params_per_model: int, seed: int = 42) -> CheckResult:
     """Dense diagonalisation of the three-site block vs the closed-form kets.
 
     Checks the twofold ground degeneracy, the energy, the eigenvector
@@ -106,22 +106,23 @@ def check_ground_blocks(params_per_model: int = 50, seed: int = 42) -> CheckResu
     min_gap = math.inf
     for model in MODELS.values():
         for _ in range(params_per_model):
-            params = model.params(1.0, rng.uniform(*model.coupling_range))
-            h = block_hamiltonian(params)
+            coupling = rng.uniform(*model.coupling_range)
+            h = block_hamiltonian(model.bond(1.0, coupling))
             eig = diag_symmetric(h)
-            e0 = ground_energy(params)
+            e0 = model.energy(1.0, coupling)
             worst_energy = max(
                 worst_energy,
                 abs(eig.eigenvalues[0] - e0),
                 abs(eig.eigenvalues[1] - e0),
             )
             min_gap = min(min_gap, eig.eigenvalues[2] - eig.eigenvalues[1])
-            first, second = ground_states(params)
+            first, second = model.ground_states(coupling)
             for ket in (first, second):
                 resid = np.abs(h @ ket.amplitudes - e0 * ket.amplitudes).max()
                 worst_resid = max(worst_resid, resid)
-            closed = xstate_to_matrix(reduced_state(params))
-            flipped = xstate_to_matrix(_spin_flip(reduced_state(params)))
+            edge = model.edge_state(coupling)
+            closed = xstate_to_matrix(edge)
+            flipped = xstate_to_matrix(_spin_flip(edge))
             worst_rho = max(
                 worst_rho,
                 np.abs(partial_trace_mid(first.amplitudes) - closed).max(),
@@ -141,7 +142,7 @@ def check_ground_blocks(params_per_model: int = 50, seed: int = 42) -> CheckResu
     )
 
 
-def check_bell_bound(points: int = 500) -> CheckResult:
+def check_bell_bound(points: int) -> CheckResult:
     """No CHSH violation anywhere on the default sweeps, depths 0..6.
 
     The bound saturates exactly at flow sinks (isotropic limits), so the
@@ -167,7 +168,7 @@ def check_bell_bound(points: int = 500) -> CheckResult:
     )
 
 
-def check_spectrum_oracle(states: int = 500, seed: int = 42) -> CheckResult:
+def check_spectrum_oracle(states: int, seed: int = 42) -> CheckResult:
     _require_samples(states=states)
     worst = 0.0
     for s in random_xstates(states, seed=seed):
@@ -180,7 +181,7 @@ def check_spectrum_oracle(states: int = 500, seed: int = 42) -> CheckResult:
     )
 
 
-def check_jacobi_reconstruction(matrices: int = 1000, seed: int = 42) -> CheckResult:
+def check_jacobi_reconstruction(matrices: int, seed: int = 42) -> CheckResult:
     _require_samples(matrices=matrices)
     rng = np.random.default_rng(seed)
     worst_recon = 0.0
@@ -202,7 +203,7 @@ def check_jacobi_reconstruction(matrices: int = 1000, seed: int = 42) -> CheckRe
     )
 
 
-def check_bloch_round_trip(states: int = 2000, seed: int = 42) -> CheckResult:
+def check_bloch_round_trip(states: int, seed: int = 42) -> CheckResult:
     _require_samples(states=states)
     worst = 0.0
     for s in random_xstates(states, seed=seed):
@@ -220,7 +221,7 @@ def check_bloch_round_trip(states: int = 2000, seed: int = 42) -> CheckResult:
     )
 
 
-def check_measure_battery(states: int = 2000, seed: int = 42) -> CheckResult:
+def check_measure_battery(states: int, seed: int = 42) -> CheckResult:
     """Structural sanity of the full measure set on random states."""
     _require_samples(states=states)
     bad = ""

@@ -165,7 +165,7 @@ def test_criterion_06_deficit_equals_diagonal_discord():
     elapsed = time.perf_counter() - t0
     assert elapsed < 10.0
     print(
-        "PASS criterion-06 — measurement deficit equals diagonal discord on both "
+        "PASS criterion-06 — measure-induced disturbance equals diagonal discord on both "
         f"sides, 10000 states (worst {worst:.3e}, {elapsed:.2f}s)"
     )
 

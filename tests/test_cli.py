@@ -248,6 +248,23 @@ def test_oversized_grid_exits_2_before_allocating(tmp_path, capsys):
     assert not list(tmp_path.iterdir())
 
 
+def test_iteration_range_past_the_cap_exits_2_before_it_is_built(tmp_path, capsys):
+    cli._parser()  # built before the measurement
+    tracemalloc.start()
+    try:
+        try:
+            rc = run(["sweep", "--model", "xxz", "--iterations", "0..200000", "--out", str(tmp_path)])
+        except SystemExit as exc:  # argparse refuses bad arguments this way
+            rc = exc.code
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert rc == 2
+    assert "error:" in capsys.readouterr().err
+    assert peak < 1_000_000  # the list of 200 001 depths alone takes several MB
+    assert not list(tmp_path.iterdir())
+
+
 def test_numeric_failure_exit_code(tmp_path, capsys):
     # search window far from the critical point: extremum lands on the edge
     rc = run([

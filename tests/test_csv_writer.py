@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from qrgflow import cli
+from qrgflow import csvtext
 from qrgflow.flow import SweepTable, effective_size, sweep
 
 # nan, inf, zero and subnormal cells must reach fmt without a numpy warning
@@ -14,7 +14,7 @@ pytestmark = pytest.mark.filterwarnings("error")
 
 def cells(values):
     """The writer's text of each value, split back into cells."""
-    words = cli._cell_words(np.asarray(values, dtype=np.float64))
+    words = csvtext.cell_words(np.asarray(values, dtype=np.float64))
     return words.tobytes().translate(None, b"\0").decode("ascii").split(",")[:-1]
 
 
@@ -78,13 +78,13 @@ def test_powers_of_ten_and_their_neighbours():
 
 @pytest.mark.parametrize("chunk_rows", [1, 5, 9, 4096])
 def test_chunked_writer_matches_row_template(chunk_rows, monkeypatch):
-    monkeypatch.setattr(cli, "_CHUNK_ROWS", chunk_rows)
+    monkeypatch.setattr(csvtext, "_CHUNK_ROWS", chunk_rows)
     for table in (
         sweep("xxz", 0.0, 2.5, 23, range(4)),
         sweep("xy", 0.0, 3.0, 11, [0, 3, 30], measures=["gd", "chsh_max", "concurrence"]),
         sweep("xxz", 0.0, 1e308, 7, range(31), measures=["mid"]),
     ):
-        written = b"".join(cli._sweep_csv_chunks(table))
+        written = b"".join(csvtext.sweep_csv_chunks(table))
         assert written == reference_rows(table)
 
 
@@ -100,7 +100,7 @@ def _random_table(points):
 def _writer_peak(table):
     tracemalloc.start()
     try:
-        written = sum(len(chunk) for chunk in cli._sweep_csv_chunks(table))
+        written = sum(len(chunk) for chunk in csvtext.sweep_csv_chunks(table))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

@@ -28,12 +28,13 @@ from qrgflow import (
     mid,
     min_nonlocality,
     random_xstates,
+    scaling_report,
     sweep,
     xxz_rho13,
     xy_rho13,
 )
 from qrgflow import flow
-from qrgflow.measures import _pauli_guard, evaluate
+from qrgflow.measures import _Measures, evaluate
 
 # Each sweep column against the per-state function of the same measure.
 PER_STATE = {
@@ -88,8 +89,7 @@ def test_iterate_structure():
 def test_iterate_respects_cap():
     with pytest.raises(DomainError):
         iterate(XXZParams(1.0, 0.5), ITERATION_CAP + 1)
-    traj = iterate(XXZParams(1.0, 0.5), ITERATION_CAP + 1, cap=None)
-    assert len(traj.steps) == ITERATION_CAP + 2
+    assert len(iterate(XXZParams(1.0, 0.5), ITERATION_CAP).steps) == ITERATION_CAP + 1
 
 
 def test_critical_point_is_invariant():
@@ -98,9 +98,11 @@ def test_critical_point_is_invariant():
 
 
 def test_attracted_flow_reaches_sink_exactly():
-    # contraction is ~1/2 per step, so the 1e-14 snap needs ~47 steps
-    traj = iterate(XXZParams(1.0, 0.5), 60, cap=None)
-    assert traj.steps[-1].params.delta == 0.0  # snapped once within 1e-14
+    # contraction is ~1/2 per step, so the 1e-14 snap needs ~47 steps, past the cap
+    params = XXZParams(1.0, 0.5)
+    for _ in range(60):
+        params = advance(params)
+    assert params.delta == 0.0  # snapped once within 1e-14
     xy = iterate(XYParams(1.0, gamma_of_g(2.0)), 25)
     assert xy.steps[-1].params.gamma == 1.0
 
@@ -140,7 +142,7 @@ def test_sweep_values_match_iterated_states():
         assert table.values[1, j, 0] == pytest.approx(
             traj.steps[3].measures.chsh_max, abs=1e-15
         )
-    # The float flow of sweep matches the record flow of iterate bit for bit at
+    # The array flow of sweep matches the float flow of iterate bit for bit at
     # every depth.  The grids hold the fixed points delta = 0, 1 and g = 0, 1,
     # XY starts g >= 19 that snap onto gamma = 1, and the Neel start
     # delta = 2.5, which reaches 2.2e122 at n = 6.
@@ -180,6 +182,18 @@ def test_sweep_validation():
         sweep("xxz", 0.0, 1.0, 5, [ITERATION_CAP + 1])
 
 
+def test_depths_are_refused_as_they_are_read():
+    def depths(first):
+        yield first
+        raise AssertionError("a depth after the first out-of-range one was read")
+
+    for bad in (-1, ITERATION_CAP + 1):
+        with pytest.raises(DomainError):
+            sweep("xxz", 0.0, 1.0, 5, depths(bad))
+        with pytest.raises(DomainError):
+            scaling_report("xy", iterations=depths(bad))
+
+
 @pytest.mark.parametrize(
     "name, hi, points, depths",
     [
@@ -205,7 +219,7 @@ def test_sweep_cells_equal_per_state_measures_bit_for_bit(name, hi, points, dept
 
 def test_batch_pass_equals_per_state_on_random_states():
     states = [XState(*(float(getattr(s, f)) for f in FIELDS)) for s in random_xstates(200, seed=3)]
-    unguarded = sum(not _pauli_guard(s) for s in states)
+    unguarded = sum(_Measures(s).unguarded for s in states)
     assert unguarded > 20 and len(states) - unguarded > 20  # both sides of the search
     batch = XState(*(np.array([getattr(s, f) for s in states]) for f in FIELDS))
     columns = evaluate(batch)

@@ -105,9 +105,35 @@ RUNS = {
             "sweep_xxz.gp": "5d3810af24622384019aef6a97b20c25f62f97f67767fd0b31350debaf5457e2",
         },
     ),
+    # A bond strength other than 1 flows beside the coupling, to depth 30 on the XXZ side.
+    "flow-xy-j": (
+        ["flow", "--model", "xy", "--start", "0.3", "--j", "0.7"],
+        {
+            "flow_xy.csv": "fc3d29cb5d8cbbe13340f2c18d374a1539ae199a3f0c2950b3e61f4e6a9f7563",
+            "flow_xy.gp": "7e3cfff3a467dedc4d25451480027e9f5d92d5d27ee25c770ee0c161d42523f5",
+        },
+    ),
+    "flow-xxz-j-deep": (
+        ["flow", "--model", "xxz", "--start", "0.8", "--j", "2.5", "--steps", "30"],
+        {
+            "flow_xxz.csv": "0c4da060de381b54b20f0f38e9c8f7e7d9c5faa43b00f584bb21698e1118056d",
+            "flow_xxz.gp": "c3d9644acd04aff867d1ab25eb164793db9b05410e5fa03b3ebeb3df2d07bb5d",
+        },
+    ),
 }
 
 FIXED_POINTS_STDOUT = "403e84225ed875e09c24a6358c2c1165c98957827370251e032bbd2ebe9419b5"
+
+# verify stdout at the oracle-battery sizes: 1/25 of every default count.
+VERIFY_ARGS = [
+    "verify", "--oracle-states", "20", "--random-states", "400", "--jacobi-matrices", "40",
+    "--params-per-model", "2", "--sweep-points", "20",
+]
+VERIFY_STDOUT = {
+    1: "49943219b070f523f55131a148fe0fa9341dd06bf567d3e947fc8826702e5a47",
+    77: "2ea00ccbe0d92bce034af5356ff5e7233f0a5fab7a6a16a5d85503d71f86c398",
+    123456: "2463dbb297ceefcc98cd4ac83f52ec01472e3f8222032b6da3ec1b1505a13db6",
+}
 
 
 def _digest(data: bytes) -> str:
@@ -126,3 +152,9 @@ def test_cli_files_match_golden_digests(label, tmp_path, capsys):
 def test_fixed_points_stdout_matches_golden_digest(capsys):
     assert main(["fixed-points"]) == 0
     assert _digest(capsys.readouterr().out.encode("utf-8")) == FIXED_POINTS_STDOUT
+
+
+@pytest.mark.parametrize("seed", sorted(VERIFY_STDOUT))
+def test_verify_stdout_matches_golden_digest(seed, capsys):
+    assert main(VERIFY_ARGS + ["--seed", str(seed)]) == 0
+    assert _digest(capsys.readouterr().out.encode("utf-8")) == VERIFY_STDOUT[seed]

@@ -25,7 +25,7 @@ from qrgflow import (
     xxz_rho13,
     xy_rho13,
 )
-from qrgflow.measures import _interior_conditional, _pauli_guard
+from qrgflow.measures import _Measures, _polar_search
 
 BELL = XState(0.5, 0.0, 0.0, 0.5, 0.5, 0.0)
 PRODUCT = XState(0.25, 0.25, 0.25, 0.25, 0.0, 0.0)
@@ -215,12 +215,12 @@ def test_interior_optimum_matches_high_precision_minimum():
 
 def test_interior_search_never_beats_pauli_axes_under_guard():
     for s in random_xstates(500, seed=11):
-        if not _pauli_guard(s):
+        if _Measures(s).unguarded:
             continue
         for side in ("a", "b"):
             _, breakdown = discord_optimal(s, side=side)
             pauli = min(breakdown.cond_x, breakdown.cond_y, breakdown.cond_z)
-            assert _interior_conditional(s, side) >= pauli - 1e-12
+            assert _polar_search(*_Measures(s, side).search_inputs) >= pauli - 1e-12
 
 
 def test_mid_equals_sigma_z_discord_sampled():

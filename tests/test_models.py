@@ -13,8 +13,6 @@ from qrgflow import (
     fixed_points,
     g_of_gamma,
     gamma_of_g,
-    ground_energy,
-    ground_states,
     partial_trace_mid,
     q_of_delta,
     reduced_state,
@@ -131,10 +129,10 @@ def test_critical_exponent_from_exact_slope():
 
 @pytest.mark.parametrize("delta", [0.0, 0.3, 1.0, 1.7, 2.5])
 def test_xxz_ground_doublet(delta):
-    params = XXZParams(1.0, delta)
-    h = block_hamiltonian(params)
-    e0 = ground_energy(params)
-    first, second = ground_states(params)
+    xxz = MODELS["xxz"]
+    h = block_hamiltonian(xxz.bond(1.0, delta))
+    e0 = xxz.energy(1.0, delta)
+    first, second = xxz.ground_states(delta)
     for ket in (first, second):
         amp = ket.amplitudes
         assert np.linalg.norm(amp) == pytest.approx(1.0, abs=1e-12)
@@ -147,10 +145,10 @@ def test_xxz_ground_doublet(delta):
 
 @pytest.mark.parametrize("gamma", [-1.0, -0.4, 0.0, 0.6, 1.0])
 def test_xy_ground_doublet(gamma):
-    params = XYParams(1.0, gamma)
-    h = block_hamiltonian(params)
-    e0 = ground_energy(params)
-    for ket in ground_states(params):
+    xy = MODELS["xy"]
+    h = block_hamiltonian(xy.bond(1.0, gamma))
+    e0 = xy.energy(1.0, gamma)
+    for ket in xy.ground_states(gamma):
         amp = ket.amplitudes
         assert np.linalg.norm(amp) == pytest.approx(1.0, abs=1e-12)
         assert np.abs(h @ amp - e0 * amp).max() < 1e-10
@@ -160,10 +158,11 @@ def test_xy_ground_doublet(gamma):
 
 
 def test_reduced_state_matches_partial_trace():
-    for params in (XXZParams(1.0, 0.8), XYParams(1.0, 0.35)):
-        first, _ = ground_states(params)
+    for name, coupling in (("xxz", 0.8), ("xy", 0.35)):
+        model = MODELS[name]
+        first, _ = model.ground_states(coupling)
         numeric = partial_trace_mid(first.amplitudes)
-        closed = xstate_to_matrix(reduced_state(params))
+        closed = xstate_to_matrix(reduced_state(model.params(1.0, coupling)))
         assert np.abs(numeric - closed).max() < 1e-12
 
 
@@ -209,17 +208,11 @@ def test_plotting_variable_maps():
 
 
 def test_ground_energy_values():
-    assert ground_energy(XXZParams(1.0, 1.0)) == pytest.approx(-1.0, abs=1e-15)
-    assert ground_energy(XYParams(1.0, 1.0)) == pytest.approx(-1.0, abs=1e-14)
-    assert ground_energy(XYParams(2.0, 0.0)) == pytest.approx(-np.sqrt(2.0), abs=1e-14)
+    assert MODELS["xxz"].energy(1.0, 1.0) == pytest.approx(-1.0, abs=1e-15)
+    assert MODELS["xy"].energy(1.0, 1.0) == pytest.approx(-1.0, abs=1e-14)
+    assert MODELS["xy"].energy(2.0, 0.0) == pytest.approx(-np.sqrt(2.0), abs=1e-14)
 
 
 def test_dispatch_rejects_unknown_params():
     with pytest.raises(DomainError):
-        ground_states(object())
-    with pytest.raises(DomainError):
         reduced_state(object())
-    with pytest.raises(DomainError):
-        block_hamiltonian(object())
-    with pytest.raises(DomainError):
-        ground_energy(object())

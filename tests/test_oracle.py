@@ -16,7 +16,7 @@ from qrgflow import (
     xstate_to_matrix,
     xxz_rho13,
 )
-from qrgflow.measures import _pauli_guard
+from qrgflow.measures import _Measures
 from qrgflow.oracle import _avg_conditional_entropy, _conditional_coefficients, _pauli_tensor
 
 BELL = XState(0.5, 0.0, 0.0, 0.5, 0.5, 0.0)
@@ -174,7 +174,7 @@ def test_brute_discord_agrees_with_closed_form():
     guarded = 0
     states = random_xstates(120, seed=31)
     for s in states:
-        guarded += _pauli_guard(s)
+        guarded += not _Measures(s).unguarded
         for side in ("a", "b"):
             value, _ = brute_force_discord(s, side=side)
             closed, _ = discord_optimal(s, side=side)

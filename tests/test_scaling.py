@@ -88,7 +88,8 @@ def test_loglog_fit_validation():
 
 def test_derivative_extremum_moves_toward_critical():
     positions = [
-        derivative_extremum("xy", "chsh_max", n, 0.5, 1.5, 401)[0] for n in (2, 3, 4)
+        derivative_extremum("xy", "chsh_max", n, 0.5, 1.5, 401, "min", 1.0, 2)[0]
+        for n in (2, 3, 4)
     ]
     offsets = [abs(1.0 - p) for p in positions]
     assert offsets[0] > offsets[1] > offsets[2]
